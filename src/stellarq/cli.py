@@ -139,8 +139,7 @@ def _build_step(state, op: str, params: dict, pointer: str):
         dim = _need(params, "dim", pointer, int, lambda v: v > 0)
         return fs.make_squeezed_thermal(g.squeeze_r, g.squeeze_theta, float(purity), dim)
     if op == "core":
-        raw = _need(params, "coeffs", pointer, list, lambda v: len(v) >= 1)
-        coeffs = [complex(float(c[0]), float(c[1])) if isinstance(c, list) else complex(c) for c in raw]
+        coeffs = _parse_coeffs(params, pointer)
         g = _gaussian_params(params, pointer)
         dim = _need(params, "dim", pointer, int, lambda v: v > 0)
         core = fs.CoreState.from_unnormalized(coeffs, g)
@@ -179,9 +178,25 @@ def build_state_from_spec(spec: dict) -> fs.TruncatedState:
     return _build_step(None, op, params or {}, f"/{op}")
 
 
-def _load_state(path) -> fs.TruncatedState:
+def _load_input(load, path, what: str):
+    """``load(path)``, with an unreadable or malformed file as a usage error."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise UsageError(f"malformed {what} {path}: {exc}") from exc
+
+
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return fs.TruncatedState.from_json_dict(json.load(fh))
+        return json.load(fh)
+
+
+def _load_state(path) -> fs.TruncatedState:
+    return _load_input(
+        lambda p: fs.TruncatedState.from_json_dict(_read_json(p)), path, "state file"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -189,32 +204,49 @@ def _load_state(path) -> fs.TruncatedState:
 # ---------------------------------------------------------------------------
 
 
+def _parse_coeffs(spec: dict, pointer: str) -> list:
+    """Core coefficients at ``{pointer}/coeffs``: numbers or [re, im] pairs."""
+    raw = _need(spec, "coeffs", pointer, list, lambda v: len(v) >= 1)
+    try:
+        return [complex(float(c[0]), float(c[1])) if isinstance(c, list) else complex(c) for c in raw]
+    except (TypeError, ValueError, IndexError) as exc:
+        raise UsageError(
+            f"field {pointer}/coeffs holds a non-numeric coefficient", pointer=f"{pointer}/coeffs"
+        ) from exc
+
+
 def _parse_target(text: str):
-    """`fock:N`, `witness:N` / `witness:n=N`, or a JSON core/operator spec."""
-    if text.startswith("fock:"):
-        n = int(text.split(":", 1)[1])
-        return fs.TargetOperator.fock_projector(n), ("fock", n)
-    if text.startswith("witness:"):
-        tail = text.split(":", 1)[1]
-        n = int(tail.split("=", 1)[1]) if "=" in tail else int(tail)
+    """`fock:N`, `witness:N` / `witness:n=N`, or a JSON `{"coeffs": [...]}` core.
+
+    Returns (operator, (kind, payload)) with payload the index N for
+    `fock` and `witness`, and the CoreState for `core`.
+    """
+    kind, _, tail = text.partition(":")
+    if kind in ("fock", "witness"):
+        if kind == "witness" and tail.startswith("n="):
+            tail = tail[2:]
+        if not tail.isdecimal():
+            raise UsageError(f"cannot parse target {text!r}; expected {kind}:N")
+        n = int(tail)
+        if kind == "fock":
+            return fs.TargetOperator.fock_projector(n), ("fock", n)
         return negativity.witness_operator(n), ("witness", n)
     try:
         spec = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"cannot parse target spec {text!r}") from exc
-    if "coeffs" in spec:
-        coeffs = [complex(float(c[0]), float(c[1])) if isinstance(c, list) else complex(c) for c in spec["coeffs"]]
-        core = fs.CoreState.from_unnormalized(coeffs)
-        return fs.TargetOperator.core_projector(core), ("core", core)
-    raise UsageError("target spec must be fock:N, witness:N, or JSON with coeffs")
+    if not isinstance(spec, dict):
+        raise UsageError("target spec must be fock:N, witness:N, or JSON with coeffs")
+    core = fs.CoreState.from_unnormalized(_parse_coeffs(spec, ""))
+    return fs.TargetOperator.core_projector(core), ("core", core)
 
 
-def _parse_core_target(text: str) -> fs.CoreState:
-    if text.startswith("fock:"):
-        return fs.CoreState.fock(int(text.split(":", 1)[1]))
-    spec = json.loads(text)
-    coeffs = [complex(float(c[0]), float(c[1])) if isinstance(c, list) else complex(c) for c in spec["coeffs"]]
-    return fs.CoreState.from_unnormalized(coeffs)
+def _workers(args) -> int:
+    """--workers, else STELLARQ_WORKERS, else 1; must be a positive integer."""
+    text = str(os.environ.get("STELLARQ_WORKERS", "1") if args.workers is None else args.workers)
+    if not text.isdecimal() or int(text) < 1:
+        raise UsageError(f"worker count must be a positive integer, got {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +257,10 @@ def _parse_core_target(text: str) -> fs.CoreState:
 def cmd_state(args, argv) -> int:
     t0 = time.monotonic()
     if args.spec_file:
-        with open(args.spec_file, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+        spec = _load_input(_read_json, args.spec_file, "spec file")
         inputs = [args.spec_file]
+    elif args.spec is None:
+        raise UsageError("state needs --spec or --spec-file")
     else:
         try:
             spec = json.loads(args.spec)
@@ -254,7 +287,7 @@ def cmd_sample(args, argv) -> int:
     t0 = time.monotonic()
     state = _load_state(args.state)
     zeta = _complex_arg(args.zeta, "--zeta") if args.zeta else 0j
-    workers = args.workers or int(os.environ.get("STELLARQ_WORKERS", "1"))
+    workers = _workers(args)
     batch = dhd.sample_unbalanced(state, zeta, args.n, args.seed, n_workers=workers)
     dhd.save_csv(batch, args.out)
     print(
@@ -273,9 +306,12 @@ def cmd_sample(args, argv) -> int:
 
 def cmd_estimate(args, argv) -> int:
     t0 = time.monotonic()
-    batch = dhd.load_csv(args.samples)
     target, kind = _parse_target(args.target)
-    delta = None if args.delta in (None, "none") else float(args.delta)
+    try:
+        delta = None if args.delta in (None, "none") else float(args.delta)
+    except ValueError as exc:
+        raise UsageError(f"cannot parse --delta {args.delta!r}; expected a number or 'none'") from exc
+    batch = _load_input(dhd.load_csv, args.samples, "samples file")
     if args.p is not None and args.eta is not None:
         p, eta = args.p, args.eta
     elif target.is_diagonal:
@@ -338,7 +374,12 @@ def cmd_profile(args, argv) -> int:
                     f"{phi:.12g},{stellar.rank1_core_profile(float(phi), seed=args.seed):.12g}\n"
                 )
     else:
-        target = _parse_core_target(args.target)
+        if args.target is None:
+            raise UsageError("profile needs --target or --rank1-sweep")
+        _, (kind, payload) = _parse_target(args.target)
+        if kind == "witness":
+            raise UsageError("profile targets are fock:N or JSON coeffs")
+        target = fs.CoreState.fock(payload) if kind == "fock" else payload
         k_max = args.k_max or target.stellar_rank
         points = stellar.fidelity_profile(target, k_max, restarts=args.restarts, seed=args.seed)
         stellar.profile_to_csv(points, args.out)
@@ -356,6 +397,8 @@ def cmd_witness_scan(args, argv) -> int:
         extent = float(extent_s)
     except ValueError as exc:
         raise UsageError(f"cannot parse --grid {args.grid!r}; expected NXxNY:EXTENT") from exc
+    if nx < 1 or ny < 1:
+        raise UsageError(f"--grid {args.grid!r} has no points")
     re = np.linspace(-extent, extent, nx)
     im = np.linspace(-extent, extent, ny)
     alphas = (re[:, None] + 1j * im[None, :]).ravel()
@@ -370,7 +413,7 @@ def cmd_witness_scan(args, argv) -> int:
         )
     else:
         config = negativity.choose_witness_params(state, args.n, args.epsilon, args.n_samples)
-    workers = args.workers or int(os.environ.get("STELLARQ_WORKERS", "1"))
+    workers = _workers(args)
     results = negativity.witness_scan(
         state, alphas, args.n, config, args.seed, args.n_samples, n_workers=workers
     )

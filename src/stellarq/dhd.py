@@ -136,22 +136,24 @@ def certify_envelope(
     """
     sigma = sigma or proposal_sigma(state)
     qeval = _QEvaluator(state)
+
+    def log_ratio(z):
+        """log(Q(z) / proposal(z)), -inf where Q vanishes."""
+        qv = qeval(z)
+        out = np.full(z.size, -np.inf)
+        pos = qv > 0
+        out[pos] = np.log(qv[pos]) + np.abs(z[pos]) ** 2 / sigma**2 + math.log(math.pi * sigma**2)
+        return out
+
     s_star = math.sqrt(state.dim * sigma**2 / (sigma**2 - 1.0)) if sigma > 1 else 0.0
     s_max = max(12.0 * sigma, 1.2 * s_star)
     radii = np.linspace(0.0, s_max, 3072)
     phases = np.exp(2j * np.pi * np.arange(48) / 48)
     grid = np.outer(radii, phases).ravel()
-    log_ratio = np.full(grid.size, -np.inf)
-    qv = qeval(grid)
-    pos = qv > 0
-    log_ratio[pos] = (
-        np.log(qv[pos])
-        + np.abs(grid[pos]) ** 2 / sigma**2
-        + math.log(math.pi * sigma**2)
-    )
-    peak = float(np.max(log_ratio))
+    lr = log_ratio(grid)
+    peak = float(np.max(lr))
     # local grid refinement around the best point, shrinking 4x per pass
-    z0 = grid[int(np.argmax(log_ratio))]
+    z0 = grid[int(np.argmax(lr))]
     ds = radii[1] - radii[0]
     dphi = 2 * math.pi / 48
     for _ in range(3):
@@ -159,12 +161,7 @@ def certify_envelope(
         ss = np.maximum(s0 + np.linspace(-ds, ds, 17), 0.0)
         pp = phi0 + np.linspace(-dphi, dphi, 17)
         cand = np.outer(ss, np.exp(1j * pp)).ravel()
-        qv2 = qeval(cand)
-        lr = np.full(cand.size, -np.inf)
-        p2 = qv2 > 0
-        lr[p2] = (
-            np.log(qv2[p2]) + np.abs(cand[p2]) ** 2 / sigma**2 + math.log(math.pi * sigma**2)
-        )
+        lr = log_ratio(cand)
         j = int(np.argmax(lr))
         if lr[j] > peak:
             peak = float(lr[j])
@@ -175,13 +172,7 @@ def certify_envelope(
     while _tail_log_bound(s_max, state.dim, sigma) > peak - 9.0 and s_max < 1e4:
         s_max *= 1.5
         extra = np.outer(np.linspace(s_max / 1.5, s_max, 256), phases).ravel()
-        qe = qeval(extra)
-        pe = qe > 0
-        if np.any(pe):
-            lre = (
-                np.log(qe[pe]) + np.abs(extra[pe]) ** 2 / sigma**2 + math.log(math.pi * sigma**2)
-            )
-            peak = max(peak, float(np.max(lre)))
+        peak = max(peak, float(np.max(log_ratio(extra))))
     return sigma, inflation * math.exp(peak)
 
 

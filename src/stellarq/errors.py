@@ -27,7 +27,7 @@ class DomainError(StellarQError):
 
 
 class DegreeLimitError(StellarQError):
-    """A polynomial degree exceeds the evaluation context bound."""
+    """A polynomial degree exceeds the recurrence degree bound."""
 
     code = "degree-limit"
 

@@ -60,9 +60,11 @@ __all__ = [
 _CHUNK = 1 << 20  # fixed summation chunk: partition-independent totals
 
 
-def _check_eta(eta: float) -> None:
+def _check_eta(eta: float, p: int = 1) -> None:
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta must lie strictly inside (0, 1), got {eta}")
+    if p < 1:
+        raise DomainError("p must be a positive integer")
 
 
 def pn_threshold(n: int, p: int, eta: float) -> int:
@@ -99,43 +101,50 @@ def bias_bound(n: int, p: int, eta: float) -> float:
 
 
 def kernel_f(k: int, l: int, z: complex, eta: float) -> complex:
-    """f_{k,l}(z, eta), assembled in log space to survive any argument."""
-    _check_eta(eta)
-    z = complex(z)
-    w = z / math.sqrt(eta)
-    log_mag, phase = specfun.laguerre2d_logpolar(k, l, w)
-    if phase == 0:
-        return 0j
-    log_mag += (1.0 - 1.0 / eta) * abs(z) ** 2 - (1.0 + (k + l) / 2.0) * math.log(eta)
-    return complex(math.exp(log_mag) * phase)
+    """f_{k,l}(z, eta), the p = 1 case of g_{k,l}^{(p)}."""
+    return kernel_g(k, l, 1, z, eta)
 
 
 def kernel_g(k: int, l: int, p: int, z: complex, eta: float) -> complex:
     """Alternating sum g_{k,l}^{(p)}(z, eta) of shifted f kernels."""
-    if p < 1:
-        raise DomainError("p must be a positive integer")
-    total = 0j
-    for j in range(p):
-        wt = math.exp(
-            j * math.log(eta)
-            + 0.5 * (specfun.log_binomial(k + j, k) + specfun.log_binomial(l + j, l))
-        )
-        total += (-1) ** j * wt * kernel_f(k + j, l + j, z, eta)
-    return total
+    _check_eta(eta, p)
+    return complex(_vector_g(k, l, p, np.array([complex(z)]), eta)[0])
 
 
 def kernel_g_operator(a: TargetOperator, p: int, z: complex, eta: float) -> complex:
     """g_A^{(p)}(z, eta) = sum_kl A_kl g_{k,l}^{(p)}(z, eta)."""
-    total = 0j
-    for k, l in a.support_indices():
-        total += a.matrix[k, l] * kernel_g(k, l, p, z, eta)
-    return complex(total)
+    _check_eta(eta, p)
+    return complex(_operator_g(a, p, np.array([complex(z)]), eta)[0])
 
 
 def kernel_h(n: int, p: int, z: complex, eta: float) -> float:
     """Recentered diagonal kernel h_n^{(p)}; real by radial symmetry."""
     g = kernel_g(n, n, p, z, eta)
     return float(g.real + 0.5 * (-1) ** p * _bias_full(n, p, eta))
+
+
+def _vector_g(k: int, l: int, p: int, z: np.ndarray, eta: float) -> np.ndarray:
+    """g_{k,l}^{(p)} over an array of samples, for arbitrary (k, l)."""
+    w = z / math.sqrt(eta)
+    gauss = np.exp((1.0 - 1.0 / eta) * np.abs(z) ** 2)
+    total = np.zeros(z.shape, dtype=complex)
+    for j in range(p):
+        kk, ll = k + j, l + j
+        wt = math.exp(
+            j * math.log(eta)
+            + 0.5 * (specfun.log_binomial(kk, k) + specfun.log_binomial(ll, l))
+        )
+        l2d = specfun.laguerre2d(kk, ll, w)
+        total += (-1) ** j * wt * l2d / eta ** (1.0 + (kk + ll) / 2.0)
+    return total * gauss
+
+
+def _operator_g(a: TargetOperator, p: int, z: np.ndarray, eta: float) -> np.ndarray:
+    """g_A^{(p)} over an array of samples: the support sum of _vector_g."""
+    vals = np.zeros(z.shape, dtype=complex)
+    for k, l in a.support_indices():
+        vals += a.matrix[k, l] * _vector_g(k, l, p, z, eta)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +193,33 @@ def _radial_eval_scalar(weights, eta: float, x: float) -> float:
     return math.exp(-(1.0 - eta) * x) * acc
 
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, a: float, b: float, max_iter: int, converged):
+    """Golden-section search for the maximum of f on [a, b].
+
+    Stops after ``max_iter`` shrinks or once ``converged(a, b)`` holds,
+    and returns (x, f(x)) for the better of the two final probes, the
+    left one on a tie.
+    """
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(max_iter):
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = f(x2)
+        if converged(a, b):
+            break
+    return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
 def _radial_range(weights: np.ndarray, eta: float) -> float:
     """Range over x >= 0 (closure includes the x -> inf limit 0).
 
@@ -228,31 +264,16 @@ def _radial_range(weights: np.ndarray, eta: float) -> float:
 
     wl = weights.tolist()
 
-    def f(x):
-        return _radial_eval_scalar(wl, eta, x)
-
     # golden refinement of interior extrema
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     d = np.diff(vals)
     turn = np.nonzero(d[:-1] * d[1:] < 0)[0] + 1
     for i in turn:
-        a, b = xs[i - 1], xs[i + 1]
         sign = 1.0 if vals[i] >= max(vals[i - 1], vals[i + 1]) else -1.0
-        x1 = b - invphi * (b - a)
-        x2 = a + invphi * (b - a)
-        f1, f2 = sign * f(x1), sign * f(x2)
-        for _ in range(60):
-            if f1 >= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - invphi * (b - a)
-                f1 = sign * f(x1)
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + invphi * (b - a)
-                f2 = sign * f(x2)
-            if b - a < 1e-10 * (1.0 + b):
-                break
-        ext = sign * max(f1, f2)
+        _, f_best = _golden_max(
+            lambda x: sign * _radial_eval_scalar(wl, eta, x),
+            xs[i - 1], xs[i + 1], 60, lambda a, b: b - a < 1e-10 * (1.0 + b),
+        )
+        ext = sign * f_best
         lo = min(lo, ext)
         hi = max(hi, ext)
     return hi - lo
@@ -310,18 +331,14 @@ class EstimatorConfig:
     bound_method: str = HOEFFDING
 
     def __post_init__(self):
-        _check_eta(self.eta)
-        if self.p < 1:
-            raise DomainError("p must be a positive integer")
+        _check_eta(self.eta, self.p)
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError("epsilon must lie in (0, 1)")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise DomainError("delta must lie in (0, 1)")
         if self.bound_method not in (HOEFFDING, CLT):
             raise DomainError(f"unknown bound method {self.bound_method!r}")
-        # the p_n condition must be satisfiable for every diagonal index
-        for k, _ in self.target.diagonal_entries():
-            pn_threshold(k, self.p, self.eta)
+        self.pn_by_index()  # the p_n condition must hold for every diagonal index
 
     @property
     def is_diagonal(self) -> bool:
@@ -402,35 +419,7 @@ def kernel_values(batch_samples: np.ndarray, config: EstimatorConfig) -> np.ndar
             a * _bias_full(k, config.p, config.eta) for k, a in entries
         )
         return _radial_eval(w, config.eta, x) + offset
-    vals = np.zeros(z.shape, dtype=complex)
-    for k, l in config.target.support_indices():
-        vals += config.target.matrix[k, l] * _vector_g(k, l, config.p, z, config.eta)
-    return vals
-
-
-def _vector_g(k: int, l: int, p: int, z: np.ndarray, eta: float) -> np.ndarray:
-    """Vectorized g_{k,l}^{(p)} for arbitrary (k, l)."""
-    w = z / math.sqrt(eta)
-    x = np.abs(w) ** 2
-    gauss = np.exp((1.0 - 1.0 / eta) * np.abs(z) ** 2)
-    total = np.zeros(z.shape, dtype=complex)
-    for j in range(p):
-        kk, ll = k + j, l + j
-        q, big = (kk, ll) if kk <= ll else (ll, kk)
-        # laguerre2d(kk, ll, w): w^{ll-q} for kk <= ll, else conj(w)^{kk-q}
-        lag = specfun.laguerre_assoc(q, big - q, x)
-        pref = math.exp(0.5 * (specfun.log_factorial(q) - specfun.log_factorial(big)))
-        if big > q:
-            ang = w ** (big - q) if kk <= ll else np.conj(w) ** (big - q)
-        else:
-            ang = np.ones_like(w)
-        l2d = (-1.0) ** q * pref * ang * lag
-        wt = math.exp(
-            j * math.log(eta)
-            + 0.5 * (specfun.log_binomial(kk, k) + specfun.log_binomial(ll, l))
-        )
-        total += (-1) ** j * wt * l2d / eta ** (1.0 + (kk + ll) / 2.0)
-    return total * gauss
+    return _operator_g(config.target, config.p, z, config.eta)
 
 
 def _chunked_mean(values: np.ndarray):
@@ -446,42 +435,47 @@ def _chunked_mean(values: np.ndarray):
     return tot / n
 
 
+def _lambda(epsilon: float, bias: float) -> float:
+    """Concentration budget lambda = epsilon - bias; raises when none is left."""
+    lam = epsilon - bias
+    if lam <= 0:
+        raise InfeasiblePrecisionError(
+            f"epsilon={epsilon} is not larger than the bias bound {bias:.6g}; "
+            "no lambda is left for concentration",
+            min_epsilon=bias,
+        )
+    return lam
+
+
+def _hoeffding_n(delta: float, r: float, lam: float) -> float:
+    """Unrounded N at which 2 exp(-2 N lam^2 / r^2) equals delta."""
+    return math.log(2.0 / delta) * r * r / (2.0 * lam * lam)
+
+
+def _hoeffding_delta(n: int, r: float, lam: float) -> float:
+    """Hoeffding failure probability 2 exp(-2 N lam^2 / r^2), capped at 1."""
+    return min(1.0, 2.0 * math.exp(-2.0 * n * lam * lam / (r * r)))
+
+
 def required_samples(config: EstimatorConfig) -> int:
     """Samples needed so the Hoeffding failure probability is <= delta."""
     if config.delta is None:
         raise DomainError("required_samples needs a target delta")
-    lam = config.lam()
-    if lam <= 0:
-        raise InfeasiblePrecisionError(
-            f"epsilon={config.epsilon} is not larger than the bias bound "
-            f"{config.bias():.6g}; smallest feasible epsilon exceeds that bound",
-            min_epsilon=config.bias(),
-        )
+    lam = _lambda(config.epsilon, config.bias())
     r = kernel_range(config.target, config.p, config.eta)
-    return int(math.ceil(math.log(2.0 / config.delta) * r * r / (2.0 * lam * lam)))
+    return int(math.ceil(_hoeffding_n(config.delta, r, lam)))
 
 
 def achieved_delta(config: EstimatorConfig, n_samples: int) -> float:
     """Hoeffding failure probability at the given sample count."""
-    lam = config.lam()
-    if lam <= 0:
-        raise InfeasiblePrecisionError(
-            f"epsilon={config.epsilon} is not larger than the bias bound "
-            f"{config.bias():.6g}",
-            min_epsilon=config.bias(),
-        )
+    lam = _lambda(config.epsilon, config.bias())
     r = kernel_range(config.target, config.p, config.eta)
-    return min(1.0, 2.0 * math.exp(-2.0 * n_samples * lam * lam / (r * r)))
+    return _hoeffding_delta(n_samples, r, lam)
 
 
 def clt_required_samples(sigma_hat: float, epsilon: float, delta: float, bias: float) -> int:
     """CLT sizing: N with 1 - erf(lam sqrt(N / 2 sigma^2)) <= delta."""
-    lam = epsilon - bias
-    if lam <= 0:
-        raise InfeasiblePrecisionError(
-            f"epsilon={epsilon} is not larger than the bias bound {bias:.6g}",
-            min_epsilon=bias,
-        )
+    lam = _lambda(epsilon, bias)
     u = float(erfinv(1.0 - delta))
     return int(math.ceil(2.0 * sigma_hat**2 * (u / lam) ** 2))
 
@@ -506,13 +500,7 @@ def estimate(batch, config: EstimatorConfig) -> ConfidenceEstimate:
     n = samples.size
     if n == 0:
         raise DomainError("cannot estimate from an empty batch")
-    lam = config.lam()
-    if lam <= 0:
-        raise InfeasiblePrecisionError(
-            f"epsilon={config.epsilon} is not larger than the bias bound "
-            f"{config.bias():.6g}; no lambda is left for concentration",
-            min_epsilon=config.bias(),
-        )
+    lam = _lambda(config.epsilon, config.bias())
     values = kernel_values(samples, config)
     mean = _chunked_mean(values)
     common = dict(
@@ -530,7 +518,7 @@ def estimate(batch, config: EstimatorConfig) -> ConfidenceEstimate:
             )
         r = kernel_range(config.target, config.p, config.eta)
         if config.delta is not None:
-            need = int(math.ceil(math.log(2.0 / config.delta) * r * r / (2.0 * lam * lam)))
+            need = int(math.ceil(_hoeffding_n(config.delta, r, lam)))
             if n < need:
                 raise InsufficientSamplesError(
                     f"batch has {n} samples but (epsilon={config.epsilon}, "
@@ -539,7 +527,7 @@ def estimate(batch, config: EstimatorConfig) -> ConfidenceEstimate:
                 )
             delta = config.delta
         else:
-            delta = min(1.0, 2.0 * math.exp(-2.0 * n * lam * lam / (r * r)))
+            delta = _hoeffding_delta(n, r, lam)
         return ConfidenceEstimate(
             value=float(np.real(mean)),
             half_width=config.epsilon,
@@ -622,8 +610,6 @@ def optimize_params(
     if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
         raise DomainError("epsilon and delta must lie in (0, 1)")
     etas = np.exp(np.linspace(math.log(1e-3), math.log(1.0 - 1e-3), eta_grid_size))
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    best = None  # (J, p, eta)
     per_p = []
     for p in range(1, p_max + 1):
         js = np.array([_objective(n, p, e, epsilon) for e in etas])
@@ -631,27 +617,10 @@ def optimize_params(
         if js[i] <= 0:
             per_p.append((p, None, 0.0))
             continue
-        a = etas[max(i - 1, 0)]
-        b = etas[min(i + 1, etas.size - 1)]
-        x1 = b - invphi * (b - a)
-        x2 = a + invphi * (b - a)
-        f1 = _objective(n, p, x1, epsilon)
-        f2 = _objective(n, p, x2, epsilon)
-        for _ in range(80):
-            if f1 >= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - invphi * (b - a)
-                f1 = _objective(n, p, x1, epsilon)
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + invphi * (b - a)
-                f2 = _objective(n, p, x2, epsilon)
-            if b - a < 1e-10:
-                break
-        if f1 >= f2:
-            eta_p, j_p = x1, f1
-        else:
-            eta_p, j_p = x2, f2
+        eta_p, j_p = _golden_max(
+            lambda e: _objective(n, p, e, epsilon),
+            etas[max(i - 1, 0)], etas[min(i + 1, etas.size - 1)], 80, lambda a, b: b - a < 1e-10,
+        )
         if j_p < js[i]:
             eta_p, j_p = float(etas[i]), float(js[i])
         per_p.append((p, float(eta_p), float(j_p)))
@@ -662,8 +631,8 @@ def optimize_params(
             f"for target Fock {n}",
             p_max=p_max,
         )
-    log_term = math.log(2.0 / delta)
-    ns = [(p, e, j, log_term / (2.0 * j * j)) for p, e, j in feasible]
+    # J = lambda / R_raw, so N(J) is the Hoeffding count at unit range
+    ns = [(p, e, j, _hoeffding_n(delta, 1.0, j)) for p, e, j in feasible]
     n_min = min(v[3] for v in ns)
     p_sel, eta_sel, j_sel, _ = min(
         (v for v in ns if v[3] <= 1.01 * n_min), key=lambda v: v[0]
@@ -681,7 +650,7 @@ def optimize_params(
     req = required_samples(config)
     ach = None
     if n_samples_budget is not None:
-        ach = min(1.0, 2.0 * math.exp(-2.0 * n_samples_budget * j_sel * j_sel))
+        ach = _hoeffding_delta(n_samples_budget, 1.0, j_sel)
     return OptimizeResult(
         config=config,
         required_n=req,

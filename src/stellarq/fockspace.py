@@ -220,7 +220,7 @@ class CoreState:
         """Amplitudes <n|psi> for n < n_max (exact per component)."""
         c = np.asarray(self.coeffs, dtype=complex)
         g = self.gaussian_frame
-        if g.squeeze_r == 0.0 and g.displacement == 0j:
+        if g.is_identity:
             v = np.zeros(n_max, dtype=complex)
             v[: min(n_max, c.size)] = c[:n_max]
             return v
@@ -263,7 +263,7 @@ class TargetOperator:
 
     @classmethod
     def core_projector(cls, core: CoreState) -> "TargetOperator":
-        if core.gaussian_frame.squeeze_r or core.gaussian_frame.displacement:
+        if not core.gaussian_frame.is_identity:
             raise DomainError(
                 "core_projector takes a frameless core state; revert the frame "
                 "on the sample side (unbalancing + translation) instead"
@@ -398,100 +398,54 @@ def photon_add(state: TruncatedState) -> TruncatedState:
 # Gaussian unitary matrix elements
 # ---------------------------------------------------------------------------
 #
-# The displacement block is evaluated exactly, element by element, through
-# the associated-Laguerre closed form (a stable upward recurrence along
-# each diagonal); the squeeze block through its finite parity sum when the
+# The displacement block is evaluated exactly through the associated-
+# Laguerre closed form: one stable upward recurrence in the smaller Fock
+# index runs along every diagonal at once, and each element is assembled
+# in log magnitude so huge binomials against tiny Gaussian factors cannot
+# overflow.  The squeeze block uses its finite parity sum when the
 # smaller index stays below ~24 (few alternating terms, no cancellation),
-# and through an adaptively padded, self-consistency-checked matrix
-# exponential otherwise.  The naive coupled (n, m) recurrence amplifies a
-# parasitic solution like (cosh r + sinh r)^n sqrt(width^n / n!) and is
-# kept only as a small-size cross-check in the test suite.
+# and an adaptively padded, self-consistency-checked matrix exponential
+# otherwise.  The naive coupled (n, m) recurrence amplifies a parasitic
+# solution like (cosh r + sinh r)^n sqrt(width^n / n!) and is kept only
+# as a small-size cross-check in the test suite.
 
 _SQUEEZE_CLOSED_MAX = 24
 
 
 def _displacement_matrix(n_rows: int, m_cols: int, beta: complex) -> np.ndarray:
-    """<n| D(beta) |m>: for n >= m equals
-    sqrt(m!/n!) beta^{n-m} e^{-|b|^2/2} L_m^{(n-m)}(|b|^2); the upper
-    triangle follows with beta -> -conj(beta)."""
+    """<n| D(beta) |m>: for n = m + a >= m equals
+    sqrt(m!/n!) beta^a e^{-|b|^2/2} L_m^{(a)}(|b|^2); the upper
+    triangle m = n + a follows with beta -> -conj(beta)."""
+    out = np.zeros((n_rows, m_cols), dtype=complex)
     if beta == 0:
-        out = np.zeros((n_rows, m_cols), dtype=complex)
         np.fill_diagonal(out, 1.0)
         return out
     x = abs(beta) ** 2
-    out = np.zeros((n_rows, m_cols), dtype=complex)
-    lf = log_factorial(np.arange(max(n_rows, m_cols)))
-    log_b = math.log(abs(beta))
+    steps = min(n_rows, m_cols)
+    width = max(n_rows, m_cols)
+    a = np.arange(width)  # diagonal offset
+    m = np.arange(steps)[:, None]
+    far = m + a  # the larger Fock index; only entries below width are kept
+    lf = log_factorial(np.arange(width))
+    lag = np.ones((steps, width))  # lag[m, a] = L_m^{(a)}(x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        prev, cur = np.zeros(width), lag[0]
+        for j in range(1, steps):
+            prev, cur = cur, ((2 * (j - 1) + a + 1 - x) * cur - (j - 1 + a) * prev) / j
+            lag[j] = cur
+        logmag = (
+            a * math.log(abs(beta))
+            + 0.5 * (lf[m] - lf[np.minimum(far, width - 1)])
+            - 0.5 * x
+            + np.log(np.abs(lag))
+        )
+        val = np.sign(lag) * np.exp(logmag)
     unit = beta / abs(beta)
-    for a in range(n_rows):  # lower diagonals: n = m + a
-        length = min(m_cols, n_rows - a)
-        if length <= 0:
-            break
-        cur, prev = 1.0, 0.0
-        phase = unit**a
-        for m in range(length):
-            if m > 0:
-                prev, cur = cur, ((2 * (m - 1) + a + 1 - x) * cur - (m - 1 + a) * prev) / m
-            if cur != 0.0:
-                logmag = a * log_b + 0.5 * (lf[m] - lf[m + a]) - 0.5 * x + math.log(abs(cur))
-                out[m + a, m] = math.copysign(1.0, cur) * phase * math.exp(logmag)
-    unit_u = -np.conj(beta) / abs(beta)
-    for a in range(1, m_cols):  # upper diagonals: m = n + a
-        length = min(n_rows, m_cols - a)
-        if length <= 0:
-            break
-        cur, prev = 1.0, 0.0
-        phase = unit_u**a
-        for n in range(length):
-            if n > 0:
-                prev, cur = cur, ((2 * (n - 1) + a + 1 - x) * cur - (n - 1 + a) * prev) / n
-            if cur != 0.0:
-                logmag = a * log_b + 0.5 * (lf[n] - lf[n + a]) - 0.5 * x + math.log(abs(cur))
-                out[n, n + a] = math.copysign(1.0, cur) * phase * math.exp(logmag)
-    return out
-
-
-def _displacement_columns(n_rows: int, beta: complex, m_cols: int) -> np.ndarray:
-    """<k| D(beta) |j> for k < n_rows, j < m_cols, vectorized over k.
-
-    Intended for small m_cols (core vectors); the associated-Laguerre
-    value is assembled in log magnitude so huge binomials against tiny
-    Gaussian factors cannot overflow.
-    """
-    if beta == 0:
-        out = np.zeros((n_rows, m_cols), dtype=complex)
-        np.fill_diagonal(out, 1.0)
-        return out
-    from scipy.special import gammaln
-
-    x = abs(beta) ** 2
-    logb = math.log(abs(beta))
-    ang = cmath.phase(beta)
-    lf = log_factorial(np.arange(max(n_rows, m_cols) + 1))
-    out = np.zeros((n_rows, m_cols), dtype=complex)
-    k_all = np.arange(n_rows)
-    for j in range(m_cols):
-        rows = k_all[j:]
-        a = rows - j
-        lag = np.zeros(rows.size)
-        for i in range(j + 1):
-            lag += (
-                (-1.0) ** i
-                * np.exp(gammaln(j + a + 1.0) - gammaln(a + i + 1.0) - lf[j - i])
-                * x**i
-                / math.exp(lf[i])
-            )
-        nz = lag != 0.0
-        logmag = 0.5 * (lf[j] - lf[rows[nz]]) + a[nz] * logb - 0.5 * x + np.log(np.abs(lag[nz]))
-        out[rows[nz], j] = np.sign(lag[nz]) * np.exp(logmag + 1j * a[nz] * ang)
-        for k in range(min(j, n_rows)):  # upper triangle, at most m_cols rows
-            a2 = j - k
-            cur, prev = 1.0, 0.0
-            for m in range(1, k + 1):
-                prev, cur = cur, ((2 * (m - 1) + a2 + 1 - x) * cur - (m - 1 + a2) * prev) / m
-            if cur != 0.0:
-                lm = a2 * logb + 0.5 * (lf[k] - lf[j]) - 0.5 * x + math.log(abs(cur))
-                out[k, j] = math.copysign(1.0, cur) * (-cmath.exp(-1j * ang)) ** a2 * math.exp(lm)
+    low = far < n_rows
+    cols = np.broadcast_to(m, far.shape)
+    out[far[low], cols[low]] = (val * unit**a)[low]
+    up = (far < m_cols) & (a > 0)
+    out[cols[up], far[up]] = (val * (-np.conj(unit)) ** a)[up]
     return out
 
 

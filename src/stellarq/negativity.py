@@ -19,17 +19,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import erf
 
-from .dhd import SampleBatch, sample_q, translate_samples
+from .dhd import SampleBatch, proposal_sigma, sample_q, translate_samples
 from .errors import CutoffError, DomainError, InfeasiblePrecisionError
-from .estimator import (
-    CLT,
-    ConfidenceEstimate,
-    EstimatorConfig,
-    _diag_weights,
-    _radial_eval,
-    bias_bound,
-    estimate,
-)
+from .estimator import CLT, ConfidenceEstimate, EstimatorConfig, estimate, kernel_values
 from .fockspace import GaussianUnitaryParams, TargetOperator, TruncatedState, gaussian_matrix, husimi_q
 
 __all__ = [
@@ -154,8 +146,7 @@ def scan_to_csv(results, path) -> None:
 
 def _radial_density(state: TruncatedState, n_radii: int = 1500, n_phases: int = 64):
     """Quadrature nodes (s, weight) of the radial sample density of Q."""
-    spread = math.sqrt(1.0 + state.mean_photon() + 3.0 * math.sqrt(state.var_photon() + 1.0))
-    s = np.linspace(0.0, 10.0 * spread, n_radii)
+    s = np.linspace(0.0, 10.0 * proposal_sigma(state), n_radii)
     phases = np.exp(2j * np.pi * np.arange(n_phases) / n_phases)
     grid = np.outer(s, phases).ravel()
     q = husimi_q(state, grid).reshape(n_radii, n_phases)
@@ -185,19 +176,15 @@ def choose_witness_params(
     if eta_grid is None:
         eta_grid = np.arange(0.06, 0.46, 0.02)
     op = witness_operator(n)
-    entries = op.diagonal_entries()
     s, wq = _radial_density(state)
     best = None
     for p in p_values:
         for eta in eta_grid:
-            eta = float(eta)
-            bias = sum(a * bias_bound(k, p, eta) for k, a in entries)
-            lam = epsilon - bias
+            cfg = EstimatorConfig(op, p, float(eta), epsilon, delta=None, bound_method=CLT)
+            lam = cfg.lam()
             if lam <= 0:
                 continue
-            w = _diag_weights(entries, p, eta)
-            recenter = (-1) ** p * bias  # half of the full-width bias bound
-            vals = _radial_eval(w, eta, s * s / eta) + recenter
+            vals = kernel_values(s, cfg)  # recentered kernel h on the radii
             e1 = float(vals @ wq)
             e2 = float(vals**2 @ wq)
             var = max(e2 - e1 * e1, 1e-300)
@@ -207,19 +194,11 @@ def choose_witness_params(
                 continue
             z_cert = (e1 - (0.5 + epsilon)) / se
             if best is None or z_cert > best[0]:
-                best = (z_cert, p, eta)
+                best = (z_cert, cfg)
     if best is None:
         raise InfeasiblePrecisionError(
             f"no (p, eta) meets delta <= {delta_target} at epsilon={epsilon}, "
             f"N={n_samples} for this state",
             delta_target=delta_target,
         )
-    _, p, eta = best
-    return EstimatorConfig(
-        target=op,
-        p=p,
-        eta=eta,
-        epsilon=epsilon,
-        delta=None,
-        bound_method=CLT,
-    )
+    return best[1]

@@ -1,14 +1,17 @@
 """Stable evaluation of the polynomial families used across the library.
 
-All polynomial families (Laguerre, associated Laguerre, Laguerre 2D,
-probabilist's Hermite) are evaluated by three-term recurrences; the
-explicit defining sums cancel catastrophically at moderate degree and are
-kept only as oracles in the test suite.  Factorials and binomials are
-stored as log-values so that large combinatorial factors can be combined
-with tiny exponentials without overflow.
+Laguerre, associated Laguerre and Laguerre 2D polynomials are evaluated
+by the three-term recurrence; the explicit defining sums cancel
+catastrophically at moderate degree and are kept only as oracles in the
+test suite.  Recurrence degrees are capped at ``_MAX_DEGREE`` (64).
+Factorials and binomials come from one module-level table of
+log-values, so that large combinatorial factors can be combined with
+tiny exponentials without overflow.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import gammaln
@@ -16,83 +19,56 @@ from scipy.special import gammaln
 from .errors import DegreeLimitError, DomainError
 
 __all__ = [
-    "PolyEvalContext",
-    "default_context",
     "laguerre",
     "laguerre_assoc",
     "laguerre2d",
-    "hermite_he",
     "log_binomial",
     "log_factorial",
 ]
 
-
-class PolyEvalContext:
-    """Precomputed log-factorials plus the degree bound for recurrences.
-
-    The table ``log_factorial_table[n] = ln(n!)`` extends well past
-    ``max_degree`` because bias-bound arithmetic needs binomials such as
-    C(n + p_n, n) with indices beyond the polynomial degrees themselves.
-    """
-
-    def __init__(self, max_degree: int = 64, factorial_bound: int = 10_000):
-        if max_degree < 0:
-            raise DomainError("max_degree must be nonnegative")
-        if factorial_bound < 2 * max_degree + 2:
-            factorial_bound = 2 * max_degree + 2
-        self.max_degree = int(max_degree)
-        self.log_factorial_table = gammaln(np.arange(factorial_bound + 1) + 1.0)
-
-    def check_degree(self, *degrees: int) -> None:
-        for d in degrees:
-            if d < 0:
-                raise DomainError(f"degree must be nonnegative, got {d}")
-            if d > self.max_degree:
-                raise DegreeLimitError(
-                    f"degree {d} exceeds context bound {self.max_degree}",
-                    degree=d,
-                    max_degree=self.max_degree,
-                )
-
-    def log_factorial(self, n):
-        return self.log_factorial_table[n]
+_MAX_DEGREE = 64
+# ln(n!) for n <= 10_000: well past the polynomial degrees, because
+# bias-bound arithmetic needs binomials such as C(n + p_n, n)
+_LOG_FACTORIAL = gammaln(np.arange(10_001) + 1.0)
 
 
-_DEFAULT = PolyEvalContext()
+def _check_degree(*degrees: int) -> None:
+    for d in degrees:
+        if d < 0:
+            raise DomainError(f"degree must be nonnegative, got {d}")
+        if d > _MAX_DEGREE:
+            raise DegreeLimitError(
+                f"degree {d} exceeds the recurrence bound {_MAX_DEGREE}",
+                degree=d,
+                max_degree=_MAX_DEGREE,
+            )
 
 
-def default_context() -> PolyEvalContext:
-    return _DEFAULT
-
-
-def log_factorial(n, ctx: PolyEvalContext | None = None):
+def log_factorial(n):
     """ln(n!), exact to ~1e-15 relative, table-backed."""
-    ctx = ctx or _DEFAULT
-    return ctx.log_factorial_table[n]
+    return _LOG_FACTORIAL[n]
 
 
-def log_binomial(n: int, k: int, ctx: PolyEvalContext | None = None) -> float:
+def log_binomial(n: int, k: int) -> float:
     """ln C(n, k) from the log-factorial table."""
-    ctx = ctx or _DEFAULT
     if k < 0 or n < 0 or k > n:
         raise DomainError(f"log_binomial requires 0 <= k <= n, got n={n}, k={k}")
-    t = ctx.log_factorial_table
+    t = _LOG_FACTORIAL
     return float(t[n] - t[k] - t[n - k])
 
 
-def laguerre(n: int, x, ctx: PolyEvalContext | None = None):
+def laguerre(n: int, x):
     """Standard Laguerre polynomial L_n(x) by the three-term recurrence."""
-    return laguerre_assoc(n, 0, x, ctx=ctx)
+    return laguerre_assoc(n, 0, x)
 
 
-def laguerre_assoc(n: int, a, x, ctx: PolyEvalContext | None = None):
+def laguerre_assoc(n: int, a, x):
     """Associated Laguerre polynomial L_n^(a)(x).
 
     Recurrence: (m+1) L_{m+1} = (2m + a + 1 - x) L_m - (m + a) L_{m-1}.
     Accepts scalar or ndarray ``x``; the return matches the input shape.
     """
-    ctx = ctx or _DEFAULT
-    ctx.check_degree(n)
+    _check_degree(n)
     x = np.asarray(x)
     prev = np.zeros_like(x, dtype=float)
     cur = np.ones_like(x, dtype=float)
@@ -101,21 +77,8 @@ def laguerre_assoc(n: int, a, x, ctx: PolyEvalContext | None = None):
     return cur if cur.ndim else float(cur)
 
 
-def hermite_he(m: int, z, ctx: PolyEvalContext | None = None):
-    """Probabilist's Hermite polynomial He_m(z).
-
-    Recurrence: He_{m+1}(z) = z He_m(z) - m He_{m-1}(z).
-    """
-    ctx = ctx or _DEFAULT
-    ctx.check_degree(m)
-    prev, cur = 0.0, 1.0 + 0j
-    for j in range(m):
-        prev, cur = cur, z * cur - j * prev
-    return complex(cur)
-
-
-def laguerre2d(k: int, l: int, z: complex, ctx: PolyEvalContext | None = None) -> complex:
-    """Laguerre 2D polynomial of a complex argument.
+def laguerre2d(k: int, l: int, z):
+    """Laguerre 2D polynomial of a complex argument (scalar or ndarray).
 
     Defined by the double-index sum
 
@@ -132,38 +95,11 @@ def laguerre2d(k: int, l: int, z: complex, ctx: PolyEvalContext | None = None) -
     laguerre2d(k, l, z) == laguerre2d(l, k, conj(z)); on the diagonal
     laguerre2d(n, n, z) == (-1)^n L_n(|z|^2).
     """
-    ctx = ctx or _DEFAULT
-    ctx.check_degree(k, l)
-    z = complex(z)
+    _check_degree(k, l)
+    z = np.asarray(z, dtype=complex)
     q, big = (k, l) if k <= l else (l, k)
-    t = ctx.log_factorial_table
-    scale = np.exp(0.5 * (t[q] - t[big]))
+    scale = math.exp(0.5 * (_LOG_FACTORIAL[q] - _LOG_FACTORIAL[big]))
     w = z if k <= l else np.conj(z)
-    lag = laguerre_assoc(q, big - q, abs(z) ** 2, ctx=ctx)
-    return complex((-1) ** q * scale * w ** (big - q) * lag)
-
-
-def laguerre2d_logpolar(k: int, l: int, z: complex, ctx: PolyEvalContext | None = None):
-    """Decompose laguerre2d(k, l, z) as (log_magnitude, unit_phase).
-
-    Returns ``(-inf, 0j)`` for an exact zero.  Lets callers fold huge
-    polynomial values against tiny Gaussian factors in log space.
-    """
-    ctx = ctx or _DEFAULT
-    ctx.check_degree(k, l)
-    z = complex(z)
-    q, big = (k, l) if k <= l else (l, k)
-    t = ctx.log_factorial_table
-    lag = laguerre_assoc(q, big - q, abs(z) ** 2, ctx=ctx)
-    d = big - q
-    if lag == 0.0 or (d > 0 and z == 0):
-        return -np.inf, 0j
-    log_mag = 0.5 * (t[q] - t[big]) + np.log(abs(lag))
-    phase = complex((-1) ** q * np.sign(lag))
-    if d > 0:
-        log_mag += d * np.log(abs(z))
-        u = z / abs(z)
-        if k > l:
-            u = np.conj(u)
-        phase *= u**d
-    return float(log_mag), phase
+    lag = laguerre_assoc(q, big - q, np.abs(z) ** 2)
+    out = (-1) ** q * scale * w ** (big - q) * lag
+    return out if out.ndim else complex(out)

@@ -62,8 +62,7 @@ def _prepared_vector(target: CoreState) -> np.ndarray:
     than ~2e-12.
     """
     c = np.asarray(target.coeffs, dtype=complex)
-    g = target.gaussian_frame
-    if g.squeeze_r == 0.0 and g.displacement == 0j:
+    if target.gaussian_frame.is_identity:
         return c
     dim = max(4 * c.size, 32)
     while True:
@@ -78,16 +77,16 @@ def _truncation_overlaps(k: int, g: GaussianUnitaryParams, phi: float, coeffs: n
     """w_m = <m| S(xi) D(beta) R(phi) |c> for m < k, small core c.
 
     Vectorized small-core pipeline: rotation phases on the coefficients,
-    exact displaced-Fock columns, then the few-term squeeze rows.  The
-    inner Fock index is truncated at a generous K; callers re-verify the
-    reported optimum with a doubled K.
+    the exact K x c displacement block, then the few-term squeeze rows.
+    The inner Fock index is truncated at a generous K; the reported
+    optimum is re-evaluated on the full prepared vector.
     """
-    from .fockspace import _displacement_columns, _squeeze_matrix_closed
+    from .fockspace import _displacement_matrix, _squeeze_matrix_closed
 
     v = coeffs * np.exp(-1j * phi * np.arange(coeffs.size))
     b = g.displacement
     K = k + coeffs.size + 32 + int(math.ceil(8.0 * abs(b) ** 2 + 8.0 * abs(b)))
-    vec = _displacement_columns(K, b, coeffs.size) @ v
+    vec = _displacement_matrix(K, coeffs.size, b) @ v
     return _squeeze_matrix_closed(k, K, g.squeeze_r, g.squeeze_theta) @ vec
 
 

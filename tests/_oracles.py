@@ -35,28 +35,21 @@ def laguerre_direct(n: int, x: float) -> float:
     )
 
 
-def hermite_he_direct(m: int, z: complex) -> complex:
-    """He_m(z) = sum_p m! (-1)^p / (2^p p! (m-2p)!) z^{m-2p}."""
-    total = 0j
-    for p in range(m // 2 + 1):
-        total += (
-            math.factorial(m)
-            * (-1) ** p
-            / (2**p * math.factorial(p) * math.factorial(m - 2 * p))
-            * z ** (m - 2 * p)
-        )
-    return complex(total)
-
-
-def gaussian_element_expm(n: int, m: int, g: GaussianUnitaryParams, dim: int = 120) -> complex:
-    """<n| S(xi) D(beta) |m> from truncated matrix exponentials."""
+def gaussian_block_expm(n_rows: int, m_cols: int, g: GaussianUnitaryParams, dim: int = 120):
+    """<n| S(xi) D(beta) |m> for n < n_rows, m < m_cols from truncated
+    matrix exponentials on a dim-level Fock space."""
     a = np.diag(np.sqrt(np.arange(1, dim)), 1)
     ad = a.conj().T
     xi = g.squeeze_r * cmath.exp(1j * g.squeeze_theta)
     b = g.displacement
     s = expm(0.5 * (xi * a @ a - np.conj(xi) * ad @ ad))
     d = expm(b * ad - np.conj(b) * a)
-    return complex((s @ d)[n, m])
+    return (s @ d)[:n_rows, :m_cols]
+
+
+def gaussian_element_expm(n: int, m: int, g: GaussianUnitaryParams, dim: int = 120) -> complex:
+    """<n| S(xi) D(beta) |m> from truncated matrix exponentials."""
+    return complex(gaussian_block_expm(n + 1, m + 1, g, dim)[n, m])
 
 
 class _GaussPoly:

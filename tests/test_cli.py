@@ -164,9 +164,56 @@ def test_witness_scan_cmd(tmp_path):
     assert center and center[0].endswith(",1")  # certified at alpha = 0
 
 
-def test_bad_grid_spec(tmp_path, capsys):
-    state = tmp_path / "one.json"
-    run(tmp_path, "state", "--spec", '{"fock":{"n":1,"dim":8}}', "--out", state)
-    rc = run(tmp_path, "witness-scan", "--state", state, "--grid", "nonsense",
-             "--out", tmp_path / "x.csv")
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A valid state file, a valid samples file and one with a bad row."""
+    d = tmp_path_factory.mktemp("cli_inputs")
+    state, samples, bad = d / "one.json", d / "s.csv", d / "bad.csv"
+    assert main(["state", "--spec", '{"fock":{"n":1,"dim":8}}', "--out", str(state)]) == 0
+    assert main(["sample", "--state", str(state), "--n", "2000", "--seed", "1",
+                 "--out", str(samples)]) == 0
+    bad.write_text(samples.read_text() + "0.5;0.25\n")
+    return {"state": state, "samples": samples, "bad_csv": bad, "missing": d / "nope"}
+
+
+_ESTIMATE = ["estimate", "--samples", "{samples}", "--epsilon", "0.2", "--out", "{out}"]
+_PROFILE = ["profile", "--k-max", "1", "--restarts", "1", "--out", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(_ESTIMATE + ["--target", "fock:x"], id="target-fock-x"),
+        pytest.param(_ESTIMATE + ["--target", "witness:x"], id="target-witness-x"),
+        pytest.param(_ESTIMATE + ["--target", '{"coeffs": [0, 1'], id="estimate-json-malformed"),
+        pytest.param(_ESTIMATE + ["--target", '{"c": [0, 1]}'], id="estimate-json-no-coeffs"),
+        pytest.param(_ESTIMATE + ["--target", '{"coeffs": ["one"]}'], id="estimate-json-bad-coeff"),
+        pytest.param(_PROFILE + ["--target", '{"coeffs": [0, 1'], id="profile-json-malformed"),
+        pytest.param(_PROFILE + ["--target", '{"c": [0, 1]}'], id="profile-json-no-coeffs"),
+        pytest.param(_PROFILE + ["--target", "fock:x"], id="profile-fock-x"),
+        pytest.param(_PROFILE + ["--target", "witness:1"], id="profile-witness"),
+        pytest.param(["state", "--spec", '{"core":{"coeffs":[0, "x"],"dim":8}}', "--out", "{out}"],
+                     id="state-core-non-numeric"),
+        pytest.param(["state", "--spec-file", "{missing}", "--out", "{out}"], id="missing-spec-file"),
+        pytest.param(["sample", "--state", "{missing}", "--n", "10", "--seed", "1", "--out", "{out}"],
+                     id="missing-state"),
+        pytest.param(["estimate", "--samples", "{missing}", "--target", "fock:1", "--epsilon", "0.2",
+                      "--out", "{out}"], id="missing-samples"),
+        pytest.param(["estimate", "--samples", "{bad_csv}", "--target", "fock:1", "--epsilon", "0.2",
+                      "--p", "2", "--eta", "0.3", "--out", "{out}"], id="malformed-csv-row"),
+        pytest.param(["sample", "--state", "{state}", "--n", "10", "--seed", "1", "--workers", "0",
+                      "--out", "{out}"], id="workers-zero"),
+        pytest.param(["witness-scan", "--state", "{state}", "--grid", "nonsense", "--out", "{out}"],
+                     id="grid-nonsense"),
+        pytest.param(["witness-scan", "--state", "{state}", "--grid", "0x0:1.0", "--out", "{out}"],
+                     id="grid-empty"),
+    ],
+)
+def test_malformed_input_exits_64(argv, cli_inputs, tmp_path, capsys):
+    out = tmp_path / "out"
+    subs = {f"{{{k}}}": str(v) for k, v in dict(cli_inputs, out=out).items()}
+    rc = main([subs.get(a, a) for a in argv])
     assert rc == 64
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage-error"
+    assert not out.exists()

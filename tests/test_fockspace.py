@@ -9,6 +9,7 @@ from stellarq.stellar import StellarPoly, stellar_subtract
 
 from _oracles import (
     count_zeros_winding,
+    gaussian_block_expm,
     gaussian_element_closed_form,
     gaussian_element_expm,
     parity_sum,
@@ -94,6 +95,15 @@ def test_gaussian_matrix_element_against_oracles():
                 got = fs.gaussian_matrix_element(n, m, g)
                 assert got == pytest.approx(gaussian_element_expm(n, m, g), abs=1e-9)
                 assert got == pytest.approx(gaussian_element_closed_form(n, m, g), abs=1e-9)
+    # the tall pure-displacement block the rank-bounded fidelity search
+    # requests: K x 3 with K = 3 + 32 + ceil(8 |beta|^2 + 8 |beta|)
+    for phase in (0.0, 0.9, -2.3):
+        beta = 3.0 * np.exp(1j * phase)
+        K = 3 + 32 + math.ceil(8 * abs(beta) ** 2 + 8 * abs(beta))
+        g = fs.GaussianUnitaryParams(0.0, 0.0, complex(beta))
+        got = fs.gaussian_matrix(K, 3, g)
+        want = gaussian_block_expm(K, 3, g, dim=2 * K)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_gaussian_matrix_unitarity_columns():

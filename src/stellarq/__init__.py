@@ -14,7 +14,6 @@ from .errors import (
     CutoffError,
     DegreeLimitError,
     DomainError,
-    EnvelopeError,
     InfeasiblePrecisionError,
     InsufficientSamplesError,
     OptimizerError,

@@ -101,14 +101,17 @@ def _need(params: dict, key: str, pointer: str, types, checker=None):
 
 
 def _gaussian_params(params: dict, pointer: str) -> fs.GaussianUnitaryParams:
-    r = params.get("r")
-    if r is None and "db" in params:
-        r = fs.db_to_r(_need(params, "db", pointer, (int, float)))
-    r = float(r or 0.0)
-    theta = float(params.get("theta", 0.0))
+    real = (int, float)
+    r = 0.0
+    if params.get("r") is not None:
+        r = float(_need(params, "r", pointer, real))
+    elif "db" in params:
+        r = fs.db_to_r(_need(params, "db", pointer, real))
+    theta = float(_need(params, "theta", pointer, real)) if "theta" in params else 0.0
     beta = 0j
     if "beta" in params:
-        b = _need(params, "beta", pointer, list, lambda v: len(v) == 2)
+        b = _need(params, "beta", pointer, list,
+                  lambda v: len(v) == 2 and all(isinstance(c, real) for c in v))
         beta = complex(float(b[0]), float(b[1]))
     return fs.GaussianUnitaryParams(r, theta, beta)
 
@@ -296,7 +299,6 @@ def cmd_sample(args, argv) -> int:
                 "out": args.out,
                 "n": batch.n,
                 "acceptance_rate": batch.acceptance_rate,
-                "proposal_sigma": batch.proposal_sigma,
             }
         )
     )
@@ -312,11 +314,15 @@ def cmd_estimate(args, argv) -> int:
     except ValueError as exc:
         raise UsageError(f"cannot parse --delta {args.delta!r}; expected a number or 'none'") from exc
     batch = _load_input(dhd.load_csv, args.samples, "samples file")
+    optimize_delta = None
     if args.p is not None and args.eta is not None:
         p, eta = args.p, args.eta
     elif target.is_diagonal:
+        # with --delta none the CLT interval has no delta to optimize for;
+        # the report records the one used
+        optimize_delta = delta if delta else 0.05
         n_top = max(k for k, _ in target.diagonal_entries())
-        opt = estimator.optimize_params(n_top, args.epsilon, delta if delta else 0.05)
+        opt = estimator.optimize_params(n_top, args.epsilon, optimize_delta)
         p, eta = opt.config.p, opt.config.eta
     else:
         raise UsageError("non-diagonal targets need explicit --p and --eta")
@@ -347,6 +353,8 @@ def cmd_estimate(args, argv) -> int:
             batch = dhd.translate_samples(batch, _complex_arg(args.translate, "--translate"))
         res = estimator.estimate(batch, config)
         report = res.to_report_dict()
+    if optimize_delta is not None:
+        report["optimize_delta"] = optimize_delta
     _write_json(args.out, report)
     print(json.dumps({"out": args.out, "value": report["value"], "confidence": report["confidence"]}))
     _write_manifest(argv, [args.samples], [args.out], batch.seed, t0)

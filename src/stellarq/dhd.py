@@ -6,39 +6,52 @@ squeezing operation followed by balanced detection, and a displacement
 before the detector is reverted by translating the classical samples.
 This module implements exactly that picture.
 
-Sampling is rejection sampling against an isotropic complex Gaussian
-proposal with a certified envelope constant, driven by a counter-based
-RNG (Philox).  Every block of ``BLOCK`` consecutive sample indices owns a
-private counter region, so the output is a pure function of
-(state, seed, n_samples, proposal) regardless of how blocks are
-partitioned across workers.
+Sampling is exact, in two steps (U. Leonhardt, *Measuring the Quantum
+State of Light*, 1997, on Q-function sampling).  Averaging Q over the
+phase removes every off-diagonal term of rho, so |z|^2 is the Gamma
+mixture sum_k rho_kk Gamma(k+1, 1) / Tr rho and is drawn without
+rejection.  Given |z| = s, the phase density is the nonnegative
+trigonometric polynomial c_0 + 2 Re sum_m c_m(s) e^{i m phi}, drawn by
+rejection against a uniform phase under its exact bound
+c_0 + 2 sum_m |c_m(s)|; diagonal states accept every phase at once.
+Draws come from a counter-based RNG (Philox): every block of ``BLOCK``
+consecutive sample indices owns a private counter region, so the output
+is a pure function of (state, seed, n_samples) regardless of how blocks
+are partitioned across workers.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
+from scipy.special import xlogy
 
-from .errors import CutoffError, DomainError, EnvelopeError
-from .fockspace import GaussianUnitaryParams, TruncatedState, apply_gaussian, coherent_row
+from .errors import CutoffError, DomainError
+from .fockspace import GaussianUnitaryParams, TruncatedState, apply_gaussian
+from .specfun import log_factorial
 
 __all__ = [
     "SampleBatch",
     "sample_q",
     "translate_samples",
     "sample_unbalanced",
-    "proposal_sigma",
-    "certify_envelope",
+    "radial_density",
     "save_csv",
     "load_csv",
 ]
 
 BLOCK = 4096
-MIN_ACCEPTANCE = 1e-3
+# The phase coefficients are carried as c_m / x^m with x = s / _PHASE_SCALE.
+# Their table entries rho_{k,k+m} sqrt(k!/(k+m)!) _PHASE_SCALE^m are at most
+# e^{_PHASE_SCALE^2 / 2} ~ 1e195 (at k = 0, m ~ _PHASE_SCALE^2), so nothing
+# overflows at any dim; the entries that matter at radius s, about
+# (_PHASE_SCALE / s)^m for m < 12.5 s, stay normal doubles for s < 70,
+# past the radii of any state with dim <= 4096.
+_PHASE_SCALE = 30.0
 
 
 @dataclass(frozen=True)
@@ -48,12 +61,12 @@ class SampleBatch:
     ``samples`` holds the raw detector outcomes; ``translation`` is the
     cumulative displacement reverted in post-processing.  Keeping the two
     separate makes translate-then-untranslate an exact identity; consumers
-    read ``effective_samples()``.
+    read ``effective_samples()``.  ``acceptance_rate`` is the number of
+    samples over the number of phase proposals: 1.0 for a diagonal state.
     """
 
     samples: np.ndarray
     seed: int
-    proposal_sigma: float
     acceptance_rate: float
     state_fingerprint: str = ""
     zeta: complex = 0j
@@ -74,7 +87,6 @@ class SampleBatch:
         return (
             np.array_equal(self.samples, other.samples)
             and self.seed == other.seed
-            and self.proposal_sigma == other.proposal_sigma
             and self.acceptance_rate == other.acceptance_rate
             and self.state_fingerprint == other.state_fingerprint
             and self.zeta == other.zeta
@@ -82,124 +94,91 @@ class SampleBatch:
         )
 
 
-class _QEvaluator:
-    """Vectorized Q(z) through the eigendecomposition of rho."""
+def _poisson_weights(s2: np.ndarray, dim: int) -> np.ndarray:
+    """|<k|z>|^2 = e^{-s^2} s^{2k} / k! at |z|^2 = s2, as an (s2.size, dim) array.
 
-    def __init__(self, state: TruncatedState):
-        w, v = np.linalg.eigh(state.matrix)
-        keep = w > 1e-15
-        self.weights = w[keep]
-        self.vectors = np.ascontiguousarray(v[:, keep])
-        self.dim = state.dim
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        rows = coherent_row(z, self.dim).conj()
-        amps = rows @ self.vectors
-        return (np.abs(amps) ** 2 @ self.weights) / math.pi
-
-
-def proposal_sigma(state: TruncatedState) -> float:
-    """Proposal scale sigma with sigma^2 = 1 + <n> + 3 sqrt(Var(n) + 1).
-
-    E_Q[|z|^2] = <n> + 1, so the proposal variance dominates the target's
-    radial spread with a three-sigma margin; Q of a truncated state is
-    subgaussian, which makes the envelope below certifiable.
+    Built in log space, so no entry overflows at any radius or dim.
     """
-    return math.sqrt(1.0 + state.mean_photon() + 3.0 * math.sqrt(state.var_photon() + 1.0))
+    s2 = np.asarray(s2, dtype=float)
+    out = np.zeros((s2.size, dim))
+    with np.errstate(divide="ignore"):
+        np.multiply.outer(np.log(s2), np.arange(1, dim), out=out[:, 1:])
+    out -= s2[:, None]
+    out -= log_factorial(np.arange(dim))
+    return np.exp(out, out=out)
 
 
-def _tail_log_bound(s: float, dim: int, sigma: float) -> float:
-    """log of an analytic bound on Q/q at radius s.
+def radial_density(state: TruncatedState, s) -> np.ndarray:
+    """Density of |z| under Q_rho / Tr rho: 2 s sum_k rho_kk |<k|z>|^2 / Tr rho.
 
-    Cauchy-Schwarz gives Q(z) <= (1/pi) e^{-s^2} sum_{k<dim} s^{2k}/k!,
-    so the ratio to the proposal is bounded by
-    sigma^2 exp(-s^2 (1 - 1/sigma^2)) * sum_{k<dim} s^{2k}/k!,
-    a decreasing function of s once s^2 > dim / (1 - 1/sigma^2).
+    The phase average of Q keeps only the diagonal of rho, which makes
+    |z|^2 the Gamma mixture that ``sample_q`` draws from.
     """
-    k = np.arange(dim)
-    from scipy.special import gammaln, logsumexp
-
-    lse = logsumexp(2 * k * math.log(max(s, 1e-300)) - gammaln(k + 1))
-    return 2 * math.log(sigma) - s * s * (1 - 1 / sigma**2) + float(lse)
+    s = np.asarray(s, dtype=float)
+    pops = _poisson_weights(s * s, state.dim) @ state.populations()
+    return 2.0 * s * pops / max(state.trace, 1e-300)
 
 
-def certify_envelope(
-    state: TruncatedState, sigma: float | None = None, inflation: float = 1.2
-):
-    """Envelope constant M with Q(z) <= M * proposal(z) everywhere.
+def _phase_table(state: TruncatedState):
+    """Phase coefficient table T and its offset step.
 
-    The ratio is maximized on a dense radius grid over [0, 12 sigma] with
-    an inner phase scan (the proposal is radial but Q need not be), then
-    inflated by 20%; beyond the scanned disc an analytic subgaussian tail
-    bound takes over.  A too-tight envelope is still caught loudly at
-    sampling time.
+    Column j of T holds rho_{k,k+m} sqrt(k!/(k+m)!) _PHASE_SCALE^m for the
+    offset m = j * step, up to the largest m with a nonzero diagonal
+    rho_{k,k+m}, so that row i of ``_poisson_weights(s2) @ T`` holds
+    c_m(s_i) / x_i^m with x_i = s_i / _PHASE_SCALE.  A state of definite
+    parity (squeezed, photon-subtracted squeezed, cat) has no odd offsets
+    and gets step 2; a diagonal state gets the single column m = 0.
     """
-    sigma = sigma or proposal_sigma(state)
-    qeval = _QEvaluator(state)
-
-    def log_ratio(z):
-        """log(Q(z) / proposal(z)), -inf where Q vanishes."""
-        qv = qeval(z)
-        out = np.full(z.size, -np.inf)
-        pos = qv > 0
-        out[pos] = np.log(qv[pos]) + np.abs(z[pos]) ** 2 / sigma**2 + math.log(math.pi * sigma**2)
-        return out
-
-    s_star = math.sqrt(state.dim * sigma**2 / (sigma**2 - 1.0)) if sigma > 1 else 0.0
-    s_max = max(12.0 * sigma, 1.2 * s_star)
-    radii = np.linspace(0.0, s_max, 3072)
-    phases = np.exp(2j * np.pi * np.arange(48) / 48)
-    grid = np.outer(radii, phases).ravel()
-    lr = log_ratio(grid)
-    peak = float(np.max(lr))
-    # local grid refinement around the best point, shrinking 4x per pass
-    z0 = grid[int(np.argmax(lr))]
-    ds = radii[1] - radii[0]
-    dphi = 2 * math.pi / 48
-    for _ in range(3):
-        s0, phi0 = abs(z0), np.angle(z0)
-        ss = np.maximum(s0 + np.linspace(-ds, ds, 17), 0.0)
-        pp = phi0 + np.linspace(-dphi, dphi, 17)
-        cand = np.outer(ss, np.exp(1j * pp)).ravel()
-        lr = log_ratio(cand)
-        j = int(np.argmax(lr))
-        if lr[j] > peak:
-            peak = float(lr[j])
-            z0 = cand[j]
-        ds /= 4.0
-        dphi /= 4.0
-    # extend until the analytic tail bound is dominated by the scanned peak
-    while _tail_log_bound(s_max, state.dim, sigma) > peak - 9.0 and s_max < 1e4:
-        s_max *= 1.5
-        extra = np.outer(np.linspace(s_max / 1.5, s_max, 256), phases).ravel()
-        peak = max(peak, float(np.max(log_ratio(extra))))
-    return sigma, inflation * math.exp(peak)
+    rho, dim = state.matrix, state.dim
+    offsets = [m for m in range(1, dim) if np.any(np.diagonal(rho, m))]
+    step = 2 if all(m % 2 == 0 for m in offsets) else 1
+    lf = log_factorial(np.arange(dim))
+    ms = range(0, max(offsets, default=0) + 1, step)
+    table = np.zeros((dim, len(ms)), dtype=complex)
+    for j, m in enumerate(ms):
+        k = np.arange(dim - m)
+        table[k, j] = np.diagonal(rho, m) * np.exp(
+            m * math.log(_PHASE_SCALE) + 0.5 * (lf[k] - lf[k + m])
+        )
+    return table, step
 
 
-def _sample_block(qeval, block_index, count, seed, sigma, envelope):
-    """Draw ``count`` accepted samples for one counter-isolated block."""
+def _horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_{j >= 1} coeffs[:, j] w^j, row by row."""
+    acc = coeffs[:, -1] * w
+    for m in range(coeffs.shape[1] - 2, 0, -1):
+        acc += coeffs[:, m]
+        acc *= w
+    return acc
+
+
+def _sample_block(cdf, table, step, block_index, count, seed):
+    """Draw ``count`` samples for one counter-isolated block.
+
+    Returns the samples and the number of phase proposals made.
+    """
     gen = Generator(Philox(key=seed, counter=block_index << 64))
-    out = np.empty(count, dtype=complex)
+    level = np.minimum(np.searchsorted(cdf, gen.random(count) * cdf[-1], side="right"), cdf.size - 1)
+    s2 = gen.standard_gamma(level + 1.0)
+    s = np.sqrt(s2)
+    if table.shape[1] == 1:
+        return s * np.exp(2j * np.pi * gen.random(count)), count
+    coeffs = (_poisson_weights(s2, table.shape[0]) @ table.view(float)).view(complex)
+    x = (s / _PHASE_SCALE) ** step
+    # exact bound of the phase density: c_0 + 2 sum_m |c_m(s)|
+    bound = coeffs[:, 0].real + 2.0 * _horner(np.abs(coeffs), x)
+    phase = np.empty(count)
     pending = np.arange(count)
     proposed = 0
-    inv_norm = 1.0 / (math.pi * sigma**2)
     while pending.size:
-        u = gen.random((3, pending.size))
-        r2 = -sigma**2 * np.log1p(-u[0])
-        z = np.sqrt(r2) * np.exp(2j * np.pi * u[1])
-        q = np.exp(-r2 / sigma**2) * inv_norm
-        ratio = qeval(z) / (envelope * q)
-        if np.any(ratio > 1.0 + 1e-12):
-            worst = float(np.max(ratio))
-            raise EnvelopeError(
-                f"rejection envelope violated: Q/(M q) = {worst:.6f} > 1",
-                ratio=worst,
-            )
-        acc = u[2] < ratio
-        out[pending[acc]] = z[acc]
-        proposed += int(pending.size)
-        pending = pending[~acc]
-    return out, proposed
+        u = gen.random((2, pending.size))
+        density = coeffs[:, 0].real + 2.0 * _horner(coeffs, x * np.exp(2j * np.pi * step * u[0])).real
+        acc = u[1] * bound < density
+        phase[pending[acc]] = u[0, acc]
+        proposed += pending.size
+        rej = ~acc
+        pending, coeffs, x, bound = pending[rej], coeffs[rej], x[rej], bound[rej]
+    return s * np.exp(2j * np.pi * phase), proposed
 
 
 def sample_q(
@@ -217,22 +196,21 @@ def sample_q(
         raise CutoffError(
             f"state trace deficit {state.trace_deficit:.3e} too large to sample faithfully"
         )
-    sigma, envelope = certify_envelope(state)
     if n_samples == 0:
         return SampleBatch(
             samples=np.empty(0, dtype=complex),
             seed=int(seed),
-            proposal_sigma=sigma,
             acceptance_rate=1.0,
             state_fingerprint=state.fingerprint(),
         )
-    qeval = _QEvaluator(state)
+    cdf = np.cumsum(np.maximum(state.populations(), 0.0))
+    table, step = _phase_table(state)
     n_blocks = (n_samples + BLOCK - 1) // BLOCK
     counts = [min(BLOCK, n_samples - j * BLOCK) for j in range(n_blocks)]
     results = [None] * n_blocks
 
     def run(j):
-        results[j] = _sample_block(qeval, j, counts[j], int(seed), sigma, envelope)
+        results[j] = _sample_block(cdf, table, step, j, counts[j], int(seed))
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
@@ -242,20 +220,10 @@ def sample_q(
             run(j)
     samples = np.concatenate([r[0] for r in results])
     proposed = sum(r[1] for r in results)
-    rate = n_samples / proposed
-    if rate < MIN_ACCEPTANCE:
-        import warnings
-
-        warnings.warn(
-            f"rejection acceptance rate {rate:.2e} below {MIN_ACCEPTANCE}; "
-            "proposal poorly matched to the state",
-            RuntimeWarning,
-        )
     return SampleBatch(
         samples=samples,
         seed=int(seed),
-        proposal_sigma=sigma,
-        acceptance_rate=rate,
+        acceptance_rate=n_samples / proposed,
         state_fingerprint=state.fingerprint(),
     )
 
@@ -304,8 +272,7 @@ def save_csv(batch: SampleBatch, path) -> None:
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
-            f"# seed={batch.seed} n={batch.n} sigma={batch.proposal_sigma:.17g} "
-            f"acceptance={batch.acceptance_rate:.17g}\n"
+            f"# seed={batch.seed} n={batch.n} acceptance={batch.acceptance_rate:.17g}\n"
         )
         if batch.zeta != 0:
             fh.write(f"# zeta={batch.zeta.real:.17g},{batch.zeta.imag:.17g}\n")
@@ -322,9 +289,10 @@ def load_csv(path) -> SampleBatch:
 
     Values on disk are effective samples, so the loaded batch carries no
     pending translation (the header's translation token is provenance).
+    Header tokens other than seed, acceptance and zeta, such as the
+    ``sigma=`` that older files carry, are ignored.
     """
     seed = 0
-    sigma = 0.0
     acceptance = 1.0
     zeta = 0j
     rows = []
@@ -340,8 +308,6 @@ def load_csv(path) -> SampleBatch:
                     key, val = tok.split("=", 1)
                     if key == "seed":
                         seed = int(val)
-                    elif key == "sigma":
-                        sigma = float(val)
                     elif key == "acceptance":
                         acceptance = float(val)
                     elif key == "zeta":
@@ -353,7 +319,6 @@ def load_csv(path) -> SampleBatch:
     return SampleBatch(
         samples=np.asarray(rows, dtype=complex),
         seed=seed,
-        proposal_sigma=sigma,
         acceptance_rate=acceptance,
         zeta=zeta,
     )

@@ -44,12 +44,6 @@ class UndefinedSubtractionError(StellarQError):
     code = "undefined-subtraction"
 
 
-class EnvelopeError(StellarQError):
-    """Rejection-sampling envelope violated at a proposed point."""
-
-    code = "envelope-violation"
-
-
 class InfeasiblePrecisionError(StellarQError):
     """Requested precision is not larger than the estimator bias bound."""
 

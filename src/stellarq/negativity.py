@@ -19,10 +19,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import erf
 
-from .dhd import SampleBatch, proposal_sigma, sample_q, translate_samples
+from .dhd import SampleBatch, radial_density, sample_q, translate_samples
 from .errors import CutoffError, DomainError, InfeasiblePrecisionError
 from .estimator import CLT, ConfidenceEstimate, EstimatorConfig, estimate, kernel_values
-from .fockspace import GaussianUnitaryParams, TargetOperator, TruncatedState, gaussian_matrix, husimi_q
+from .fockspace import GaussianUnitaryParams, TargetOperator, TruncatedState, gaussian_matrix
 
 __all__ = [
     "WitnessResult",
@@ -144,16 +144,17 @@ def scan_to_csv(results, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _radial_density(state: TruncatedState, n_radii: int = 1500, n_phases: int = 64):
-    """Quadrature nodes (s, weight) of the radial sample density of Q."""
-    s = np.linspace(0.0, 10.0 * proposal_sigma(state), n_radii)
-    phases = np.exp(2j * np.pi * np.arange(n_phases) / n_phases)
-    grid = np.outer(s, phases).ravel()
-    q = husimi_q(state, grid).reshape(n_radii, n_phases)
-    dens = q.mean(axis=1) * 2.0 * math.pi * s  # radial marginal of Q
+def _radial_density(state: TruncatedState, n_radii: int = 1500):
+    """Trapezoid nodes (s, weight) of the radial sample density of Q.
+
+    The nodes span ten times sqrt(1 + <n> + 3 sqrt(Var(n) + 1)), which
+    is beyond every radius the sampler draws with noticeable mass.
+    """
+    extent = 10.0 * math.sqrt(1.0 + state.mean_photon() + 3.0 * math.sqrt(state.var_photon() + 1.0))
+    s = np.linspace(0.0, extent, n_radii)
     w = np.full(n_radii, s[1] - s[0])
     w[0] = w[-1] = 0.5 * (s[1] - s[0])
-    return s, dens * w / max(state.trace, 1e-300)
+    return s, radial_density(state, s) * w
 
 
 def choose_witness_params(

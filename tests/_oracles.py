@@ -136,6 +136,44 @@ def radial_cdf_interp(state: TruncatedState, s_max: float, n_radii: int = 4000, 
     return cdf_fn
 
 
+def gamma_mixture_cdf(state: TruncatedState):
+    """Callable CDF of |z|^2 under Q_rho / Tr(rho): sum_k rho_kk P(k+1, u) / Tr(rho).
+
+    P is the regularized lower incomplete gamma function; phase-averaging
+    Q leaves only the diagonal of rho, each level contributing a
+    Gamma(k+1, 1) law.
+    """
+    from scipy.special import gammainc
+
+    pops = np.real(np.diag(state.matrix))
+    k = np.arange(state.dim) + 1.0
+
+    def cdf_fn(u):
+        u = np.asarray(u, dtype=float)
+        return gammainc(k, u[..., None]) @ pops / pops.sum()
+
+    return cdf_fn
+
+
+def q_polar_cells(state: TruncatedState, shell_edges, n_phase_bins: int, r_nodes: int = 200,
+                  phi_nodes: int = 16):
+    """Probability of each (radius shell, phase bin) cell under Q_rho / Tr(rho).
+
+    Midpoint quadrature of Q(z) s over every cell, from ``husimi_q``.
+    """
+    from stellarq.fockspace import husimi_q
+
+    n_phi = n_phase_bins * phi_nodes
+    phi = 2 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
+    out = np.empty((len(shell_edges) - 1, n_phase_bins))
+    for i, (lo, hi) in enumerate(zip(shell_edges[:-1], shell_edges[1:])):
+        s = lo + (hi - lo) * (np.arange(r_nodes) + 0.5) / r_nodes
+        q = husimi_q(state, np.outer(s, np.exp(1j * phi)).ravel()).reshape(r_nodes, n_phi)
+        cell = (q * s[:, None]).sum(axis=0).reshape(n_phase_bins, phi_nodes).sum(axis=1)
+        out[i] = cell * (hi - lo) / r_nodes * 2 * math.pi / n_phi
+    return out / state.trace
+
+
 def count_zeros_winding(amplitudes: np.ndarray, radius: float, n_points: int = 8192) -> int:
     """Zeros of B(z) = sum_n psi_n z^n / sqrt(n!) inside |z| < radius.
 

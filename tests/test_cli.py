@@ -48,6 +48,10 @@ def test_schema_violation_exit_code(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "usage-error"
     assert err["pointer"] == "/lossy_fock/eta"
+    for field, bad in (("r", '"x"'), ("theta", '"x"'), ("beta", '["x", 0]')):
+        spec = f'{{"core":{{"coeffs":[1],"{field}":{bad},"dim":8}}}}'
+        assert run(tmp_path, "state", "--spec", spec, "--out", tmp_path / "x.json") == 64
+        assert json.loads(capsys.readouterr().err)["pointer"] == f"/core/{field}"
 
 
 def test_sample_determinism_and_manifest(tmp_path):
@@ -84,6 +88,12 @@ def test_estimate_lossy_two(tmp_path):
                 "bias_bound", "lambda", "kernel_range"):
         assert key in rep
     assert rep["N"] == 200000
+    # --delta none has no delta to optimize (p, eta) for; the report names the one used
+    assert rep["optimize_delta"] == 0.05
+    rc = run(tmp_path, "estimate", "--samples", samples, "--target", "fock:2", "--epsilon", 0.2,
+             "--delta", "none", "--method", "clt", "--p", rep["p"], "--eta", rep["eta"], "--out", report)
+    assert rc == 0
+    assert "optimize_delta" not in json.loads(report.read_text())
 
 
 def test_estimate_insufficient_samples_exit(tmp_path, capsys):
@@ -194,6 +204,12 @@ _PROFILE = ["profile", "--k-max", "1", "--restarts", "1", "--out", "{out}"]
         pytest.param(_PROFILE + ["--target", "witness:1"], id="profile-witness"),
         pytest.param(["state", "--spec", '{"core":{"coeffs":[0, "x"],"dim":8}}', "--out", "{out}"],
                      id="state-core-non-numeric"),
+        pytest.param(["state", "--spec", '{"core":{"coeffs":[1],"r":"x","dim":8}}', "--out", "{out}"],
+                     id="state-r-non-numeric"),
+        pytest.param(["state", "--spec", '{"core":{"coeffs":[1],"theta":"x","dim":8}}', "--out", "{out}"],
+                     id="state-theta-non-numeric"),
+        pytest.param(["state", "--spec", '{"core":{"coeffs":[1],"beta":["x",0],"dim":8}}', "--out", "{out}"],
+                     id="state-beta-non-numeric"),
         pytest.param(["state", "--spec-file", "{missing}", "--out", "{out}"], id="missing-spec-file"),
         pytest.param(["sample", "--state", "{missing}", "--n", "10", "--seed", "1", "--out", "{out}"],
                      id="missing-state"),

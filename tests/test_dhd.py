@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import chi2, kstest
 
 from stellarq import dhd, estimator, fockspace as fs
 from stellarq.errors import DomainError
 
-from _oracles import radial_cdf_interp
+from _oracles import gamma_mixture_cdf, q_polar_cells, radial_cdf_interp
 
 
 def test_vacuum_radial_moment():
@@ -94,15 +94,70 @@ def test_kolmogorov_smirnov_radial(reference_states):
         assert res.pvalue > 1e-3, (name, res)
 
 
-def test_envelope_correctness(reference_states):
-    rng = np.random.default_rng(21)
-    for name in ("one", "lossy2_06", "squeezed_thermal"):
-        state = reference_states[name]
-        sigma, envelope = dhd.certify_envelope(state)
-        z = sigma * (rng.standard_normal(1_000_000) + 1j * rng.standard_normal(1_000_000)) / math.sqrt(2)
-        q = fs.husimi_q(state, z)
-        proposal = np.exp(-np.abs(z) ** 2 / sigma**2) / (math.pi * sigma**2)
-        assert float(np.max(q / (envelope * proposal))) <= 1.0
+def test_radius_squared_is_gamma_mixture(fig5_state, reference_states):
+    # |z|^2 ~ sum_k rho_kk Gamma(k+1, 1) / Tr rho, whatever the off-diagonals
+    r = fs.db_to_r(3.0)
+    unbalanced = fs.apply_gaussian(fig5_state, fs.GaussianUnitaryParams(r, math.pi, 0j), out_dim=None)
+    cases = {
+        "lossy": (reference_states["lossy2_08"], dhd.sample_q(reference_states["lossy2_08"], 100_000, seed=31)),
+        "fig5": (fig5_state, dhd.sample_q(fig5_state, 100_000, seed=32)),
+        "unbalanced": (unbalanced, dhd.sample_unbalanced(fig5_state, -r, 100_000, seed=33)),
+    }
+    assert unbalanced.dim == 62
+    for name, (state, batch) in cases.items():
+        res = kstest(np.abs(batch.samples) ** 2, gamma_mixture_cdf(state))
+        assert res.pvalue > 1e-3, (name, res)
+
+
+def test_phase_within_radius_shells(reference_states):
+    # chi^2 of the phase histogram in each radius shell against Q quadrature;
+    # squeezed_thermal is real, so it cannot tell phi from -phi: the rotated,
+    # displaced state, with complex entries and odd offsets, can
+    squeezed = reference_states["squeezed_thermal"]
+    rotated = fs.apply_gaussian(
+        fs.make_squeezed_thermal(0.3, 0.7, 0.9, 32), fs.GaussianUnitaryParams(0.0, 0.0, 0.6 - 0.4j)
+    )
+    edges, bins, n = np.array([0.0, 0.5, 0.8, 1.1, 1.5, 2.2, 7.0]), 16, 200_000
+    for name, state in (("squeezed_thermal", squeezed), ("rotated_displaced", rotated)):
+        b = dhd.sample_q(state, n, seed=41)
+        assert 0.0 < b.acceptance_rate < 1.0
+        observed, _, _ = np.histogram2d(
+            np.abs(b.samples), np.angle(b.samples) % (2 * math.pi), bins=[edges, bins],
+            range=[None, (0.0, 2 * math.pi)],
+        )
+        cells = q_polar_cells(state, edges, bins)
+        expected = observed.sum(axis=1, keepdims=True) * cells / cells.sum(axis=1, keepdims=True)
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        pvalue = chi2.sf(stat, (len(edges) - 1) * (bins - 1))
+        assert pvalue > 1e-3, (name, stat, pvalue)
+
+
+def test_high_dim_non_diagonal_state_stays_finite():
+    # a displaced squeezed thermal state near <n> = 144 needs dim 256; its
+    # phase coefficients span offsets up to 255 at radii near 12
+    squeezed = fs.make_squeezed_thermal(0.3, 0.4, 0.8, 32)
+    state = fs.apply_gaussian(squeezed, fs.GaussianUnitaryParams(0.0, 0.0, 12.0 + 0j))
+    assert state.dim >= 256
+    b = dhd.sample_q(state, 8192, seed=51)
+    assert np.all(np.isfinite(b.samples))
+    assert 0.0 < b.acceptance_rate <= 1.0
+    r2 = np.abs(b.samples) ** 2
+    assert abs(r2.mean() - (state.mean_photon() + 1.0)) < 6 * r2.std() / math.sqrt(b.n)
+    assert kstest(r2, gamma_mixture_cdf(state)).pvalue > 1e-3
+
+
+def test_diagonal_states_accept_every_phase(reference_states):
+    for name in ("vacuum", "two", "lossy2_06"):
+        assert dhd.sample_q(reference_states[name], 10_000, seed=3).acceptance_rate == 1.0
+
+
+def test_radial_density_matches_q_quadrature(fig5_state):
+    s = np.linspace(0.0, 6.0, 61)
+    phases = np.exp(2j * np.pi * np.arange(128) / 128)
+    q = fs.husimi_q(fig5_state, np.outer(s, phases).ravel()).reshape(s.size, 128)
+    np.testing.assert_allclose(
+        dhd.radial_density(fig5_state, s), q.mean(axis=1) * 2 * math.pi * s, rtol=1e-12, atol=1e-15
+    )
 
 
 def test_csv_roundtrip(tmp_path):
@@ -116,12 +171,16 @@ def test_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.samples, b.effective_samples())
     np.testing.assert_array_equal(loaded.effective_samples(), b.effective_samples())
     assert loaded.seed == b.seed
-    assert loaded.proposal_sigma == b.proposal_sigma
     assert loaded.acceptance_rate == b.acceptance_rate
     assert loaded.zeta == b.zeta
     header = path.read_text().splitlines()[0]
-    assert header.startswith("# seed=3 n=500 sigma=")
+    assert header.startswith("# seed=3 n=500 acceptance=")
     assert "# translation=0.5,0" in path.read_text()
+    # files with the earlier header's sigma= token still load
+    old = tmp_path / "old.csv"
+    old.write_text("# seed=3 n=1 sigma=1.5 acceptance=0.25\n0.5,-1\n")
+    legacy = dhd.load_csv(old)
+    assert (legacy.seed, legacy.acceptance_rate, legacy.samples[0]) == (3, 0.25, 0.5 - 1j)
 
 
 def test_headerless_csv_accepted(tmp_path):

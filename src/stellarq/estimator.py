@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import laguerre as lag
 from scipy.special import erf, erfinv
 
 from . import specfun
@@ -169,44 +170,24 @@ def _diag_weights(entries, p: int, eta: float) -> np.ndarray:
     return w
 
 
-def _radial_eval(weights: np.ndarray, eta: float, x: np.ndarray) -> np.ndarray:
-    """e^{-(1-eta) x} sum_m weights[m] L_m(x) by one Laguerre recurrence."""
-    x = np.asarray(x, dtype=float)
-    acc = np.full_like(x, weights[0])
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for m in range(len(weights) - 1):
-        prev, cur = cur, ((2 * m + 1 - x) * cur - m * prev) / (m + 1)
-        if weights[m + 1] != 0.0:
-            acc = acc + weights[m + 1] * cur
-    return np.exp(-(1.0 - eta) * x) * acc
-
-
-def _radial_eval_scalar(weights, eta: float, x: float) -> float:
-    """Scalar twin of _radial_eval in plain floats (hot in refinement)."""
-    acc = weights[0]
-    prev = 0.0
-    cur = 1.0
-    for m in range(len(weights) - 1):
-        prev, cur = cur, ((2 * m + 1 - x) * cur - m * prev) / (m + 1)
-        acc += weights[m + 1] * cur
-    return math.exp(-(1.0 - eta) * x) * acc
+def _radial_eval(weights: np.ndarray, eta: float, x) -> np.ndarray:
+    """e^{-(1-eta) x} sum_m weights[m] L_m(x)."""
+    return np.exp(-(1.0 - eta) * x) * lag.lagval(x, weights)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(f, a: float, b: float, max_iter: int, converged):
+def _golden_max(f, a: float, b: float):
     """Golden-section search for the maximum of f on [a, b].
 
-    Stops after ``max_iter`` shrinks or once ``converged(a, b)`` holds,
-    and returns (x, f(x)) for the better of the two final probes, the
-    left one on a tie.
+    Stops after 80 shrinks or once b - a < 1e-10, and returns (x, f(x))
+    for the better of the two final probes, the left one on a tie.
     """
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
+    for _ in range(80):
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
@@ -215,68 +196,28 @@ def _golden_max(f, a: float, b: float, max_iter: int, converged):
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
             f2 = f(x2)
-        if converged(a, b):
+        if b - a < 1e-10:
             break
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
 def _radial_range(weights: np.ndarray, eta: float) -> float:
-    """Range over x >= 0 (closure includes the x -> inf limit 0).
+    """Range of f(x) = e^{-c x} sum_m w_m L_m(x), c = 1 - eta, over x >= 0.
 
-    Dense scan of 1e4 points out to a certified tail radius, followed by
-    golden-section refinement of every bracketed local extremum.
+    The closure includes the x -> inf limit 0.  Since
+    f'(x) = e^{-c x} (P'(x) - c P(x)) with P = sum_m w_m L_m, every
+    interior extremum is a real root of the same-degree Laguerre series
+    lagder(w) - c w.  f is evaluated at x = 0 and at max(Re r, 0) for
+    every root r: no real critical point is missed, and every node lies
+    in the domain, so none can widen the range.  The result is exact up
+    to the rounding of the computed roots.
     """
-    deg = len(weights) - 1
     c = 1.0 - eta
-    x_osc = 4.0 * deg + 16.0
-    # beyond x_end the envelope e^{-c x} * sum_i b_i x^i is decreasing
-    # (once x > deg / c) and smaller than 1e-3 of the scanned range;
-    # b_i = sum_m |w_m| C(m, i) / i! bounds every |L_m| coefficient-wise
-    abs_coeff = np.zeros(deg + 1)
-    for m in range(deg + 1):
-        if weights[m] == 0.0:
-            continue
-        for i in range(m + 1):
-            abs_coeff[i] += abs(weights[m]) * math.exp(
-                specfun.log_binomial(m, i) - specfun.log_factorial(i)
-            )
-
-    def env(x):
-        poly = 0.0
-        for b in abs_coeff[::-1]:
-            poly = poly * x + b
-        return math.exp(-c * x) * poly
-
-    x_end = max(x_osc, 1.5 * deg / c if c > 0 else x_osc)
-    xs = np.linspace(0.0, x_end, 10_001)
+    dw = -c * weights
+    dw[:-1] += lag.lagder(weights)
+    xs = np.concatenate(([0.0], np.maximum(lag.lagroots(dw).real, 0.0)))
     vals = _radial_eval(weights, eta, xs)
-    lo = min(float(vals.min()), 0.0)
-    hi = max(float(vals.max()), 0.0)
-    while env(x_end) > 1e-3 * max(hi - lo, 1e-300) and x_end < 1e7:
-        x_new = x_end * 1.5
-        xs2 = np.linspace(x_end, x_new, 2_000)
-        v2 = _radial_eval(weights, eta, xs2)
-        lo = min(lo, float(v2.min()))
-        hi = max(hi, float(v2.max()))
-        x_end = x_new
-        xs = np.concatenate([xs, xs2])
-        vals = np.concatenate([vals, v2])
-
-    wl = weights.tolist()
-
-    # golden refinement of interior extrema
-    d = np.diff(vals)
-    turn = np.nonzero(d[:-1] * d[1:] < 0)[0] + 1
-    for i in turn:
-        sign = 1.0 if vals[i] >= max(vals[i - 1], vals[i + 1]) else -1.0
-        _, f_best = _golden_max(
-            lambda x: sign * _radial_eval_scalar(wl, eta, x),
-            xs[i - 1], xs[i + 1], 60, lambda a, b: b - a < 1e-10 * (1.0 + b),
-        )
-        ext = sign * f_best
-        lo = min(lo, ext)
-        hi = max(hi, ext)
-    return hi - lo
+    return max(float(vals.max()), 0.0) - min(float(vals.min()), 0.0)
 
 
 def _diagonal_entries_checked(target: TargetOperator):
@@ -301,6 +242,8 @@ def kernel_range(n_or_operator, p: int, eta: float) -> float:
     the Hoeffding exponent as 2 N lambda^2 eta^{2n+2} / R^2.  For a
     diagonal TargetOperator it is the raw range of the combined kernel
     sum_k a_k g_{k,k}^{(p)}, which enters as 2 N lambda^2 / R_raw^2.
+    Both are read off the kernel's critical points (see _radial_range),
+    so the range is exact up to the rounding of the computed roots.
     """
     _check_eta(eta)
     if isinstance(n_or_operator, (int, np.integer)):
@@ -619,7 +562,7 @@ def optimize_params(
             continue
         eta_p, j_p = _golden_max(
             lambda e: _objective(n, p, e, epsilon),
-            etas[max(i - 1, 0)], etas[min(i + 1, etas.size - 1)], 80, lambda a, b: b - a < 1e-10,
+            etas[max(i - 1, 0)], etas[min(i + 1, etas.size - 1)],
         )
         if j_p < js[i]:
             eta_p, j_p = float(etas[i]), float(js[i])

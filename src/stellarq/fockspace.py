@@ -469,7 +469,7 @@ def _squeeze_matrix_closed(n_rows: int, m_cols: int, r: float, th: float) -> np.
     log_c = math.log(c)
     m_all = np.arange(m_cols)
     for n in range(n_rows):
-        for l in range(n % 2, n + 1, 2):
+        for l in range(n % 2, min(n, m_cols - 1) + 1, 2):
             j = (n - l) // 2
             ms = m_all[(m_all >= l) & ((m_all - l) % 2 == 0)]
             if ms.size == 0:
@@ -534,22 +534,41 @@ def _squeeze_block(n_rows: int, m_cols: int, r: float, th: float) -> np.ndarray:
 def gaussian_matrix(n_rows: int, m_cols: int, g: GaussianUnitaryParams) -> np.ndarray:
     """Matrix u[n, m] = <n| S(xi) D(beta) |m> for n < n_rows, m < m_cols.
 
-    Pure displacements and pure squeezes use their direct blocks; the
-    general case composes u = S @ D over an inner index grown until the
-    requested block stops changing (tail below 1e-12).
+    Pure displacements and pure squeezes use their direct blocks.  The
+    general case composes two blocks over an inner index grown until the
+    requested block stops changing (tail below 1e-12):
+
+    * at most 24 rows: u = S @ D(beta), the squeeze rows in closed form
+      and the inner index covering the support of D(beta)|m>, about
+      |beta|^2 wide;
+    * otherwise u = D(gamma) @ S, where D(gamma) = S D(beta) S^dag, so the
+      inner index covers the support of S|m> whatever |beta| is; a squeeze
+      block with that many rows would need a matrix exponential padded
+      past 8 |beta|^2 levels.
     """
     r, th, b = g.squeeze_r, g.squeeze_theta, complex(g.displacement)
     if r == 0.0:
         return _displacement_matrix(n_rows, m_cols, b)
     if b == 0:
         return _squeeze_block(n_rows, m_cols, r, th)
-    spread = int(math.ceil(8.0 * abs(b) ** 2 + 8.0 * abs(b)))
-    inner = n_rows + m_cols + 32 + spread
+    if n_rows <= _SQUEEZE_CLOSED_MAX:
+        inner = n_rows + m_cols + 32 + int(math.ceil(8.0 * abs(b) ** 2 + 8.0 * abs(b)))
+
+        def block(k):
+            return _squeeze_block(n_rows, k, r, th) @ _displacement_matrix(k, m_cols, b)
+
+    else:
+        inner = n_rows + m_cols + 32
+        gamma = complex(_affine(g)[2])
+
+        def block(k):
+            # <k| S(xi) |m> = conj(<m| S(-xi) |k>): m_cols rows, each vectorized over k
+            s_cols = _squeeze_block(m_cols, k, r, th + math.pi).conj().T
+            return _displacement_matrix(n_rows, k, gamma) @ s_cols
+
     cur = None
     while True:
-        s_blk = _squeeze_block(n_rows, inner, r, th)
-        d_blk = _displacement_matrix(inner, m_cols, b)
-        nxt = s_blk @ d_blk
+        nxt = block(inner)
         if cur is not None and np.max(np.abs(nxt - cur)) < 1e-12:
             return nxt
         if inner >= _MAX_AUTO_DIM:
@@ -565,6 +584,18 @@ def gaussian_matrix_element(n: int, m: int, g: GaussianUnitaryParams) -> complex
     return complex(gaussian_matrix(n + 1, m + 1, g)[n, m])
 
 
+def _affine(g: GaussianUnitaryParams):
+    """Heisenberg map G^dag a G = A a + B a^dag + gamma of G = S(xi) D(beta).
+
+    The shift gamma is also the displacement with G = D(gamma) S(xi).
+    """
+    c, s = math.cosh(g.squeeze_r), math.sinh(g.squeeze_r)
+    a_coef = c + 0j
+    b_coef = -cmath.exp(-1j * g.squeeze_theta) * s
+    gamma = g.displacement * c + np.conj(g.displacement) * b_coef
+    return a_coef, b_coef, gamma
+
+
 def compose_gaussians(g1: GaussianUnitaryParams, g2: GaussianUnitaryParams):
     """Rewrite G1 G2 as S(xi) D(beta) R(phi) up to a global phase.
 
@@ -574,16 +605,8 @@ def compose_gaussians(g1: GaussianUnitaryParams, g2: GaussianUnitaryParams):
     |A|^2 - |B|^2 = 1; composition multiplies these affine maps and the
     (xi, beta, phi) triple is read back from the composite.
     """
-
-    def affine(g: GaussianUnitaryParams):
-        c, s = math.cosh(g.squeeze_r), math.sinh(g.squeeze_r)
-        a_coef = c + 0j
-        b_coef = -cmath.exp(-1j * g.squeeze_theta) * s
-        gamma = g.displacement * c + np.conj(g.displacement) * b_coef
-        return a_coef, b_coef, gamma
-
-    a1, b1, c1 = affine(g1)
-    a2, b2, c2 = affine(g2)
+    a1, b1, c1 = _affine(g1)
+    a2, b2, c2 = _affine(g2)
     a = a1 * a2 + b1 * np.conj(b2)
     b = a1 * b2 + b1 * np.conj(a2)
     gamma = a1 * c2 + b1 * np.conj(c2) + c1

@@ -101,20 +101,18 @@ def _objective_factory(target: CoreState, k: int):
         w = _truncation_overlaps(k, composed, phi, coeffs)
         return float(np.vdot(w, w).real)
 
-    def fidelity_certified(params: GaussianUnitaryParams) -> float:
+    def overlaps_certified(params: GaussianUnitaryParams) -> np.ndarray:
         # independent evaluation through the general-purpose path on the
         # full prepared vector, used to confirm the reported optimum
         v = _prepared_vector(target)
-        u = gaussian_matrix(k, v.size, params)
-        w = u @ v
-        return float(np.vdot(w, w).real)
+        return gaussian_matrix(k, v.size, params) @ v
 
     def neg_obj(x) -> float:
         xi = complex(x[0], x[1])
         g = GaussianUnitaryParams(abs(xi), cmath.phase(xi), complex(x[2], x[3]))
         return -fidelity_fast(g)
 
-    return fidelity_fast, fidelity_certified, neg_obj
+    return fidelity_fast, overlaps_certified, neg_obj
 
 
 def _restart_points(rng: np.random.Generator, n_restarts: int) -> list:
@@ -133,7 +131,7 @@ def max_fidelity_rank_bounded(
     """Best achievable fidelity with ``target`` using states of rank < k."""
     if k < 1:
         raise DomainError("k must be a positive integer")
-    fidelity_fast, fidelity_certified, neg_obj = _objective_factory(target, k)
+    fidelity_fast, overlaps_certified, neg_obj = _objective_factory(target, k)
     rng = np.random.default_rng(seed)
     report = []
     for x0 in _restart_points(rng, restarts):
@@ -163,17 +161,16 @@ def max_fidelity_rank_bounded(
     g0 = GaussianUnitaryParams(abs(xi), cmath.phase(xi), complex(x[2], x[3]))
     # the search ran on the truncated fast path; certify the winner on the
     # independent full evaluation
-    value = fidelity_certified(g0)
+    w = overlaps_certified(g0)
+    value = float(np.vdot(w, w).real)
     if abs(value - best["objective"]) > 1e-8:
         raise OptimizerError(
             "fast and certified objective evaluations disagree at the optimum",
             fast=best["objective"],
             certified=value,
         )
-    v = _prepared_vector(target)
-    w = gaussian_matrix(k, v.size, g0) @ v
     opt_state = None
-    nrm = math.sqrt(float(np.vdot(w, w).real))
+    nrm = math.sqrt(value)
     if nrm > 1e-9:
         opt_state = CoreState.from_unnormalized(w / nrm, g0.inverse())
     return ProfilePoint(

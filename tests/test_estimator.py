@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stellarq import dhd, estimator as est, fockspace as fs
+from stellarq.negativity import witness_operator
 from stellarq.errors import (
     DomainError,
     InfeasiblePrecisionError,
@@ -108,15 +110,61 @@ def test_kernel_h_vacuum_expectation():
     assert float(np.mean(vals)) == pytest.approx(1.0, abs=3 * se)
 
 
-def test_kernel_range_values():
-    for eta in (0.2, 0.35, 0.6):
-        assert est.kernel_range(0, 1, eta) == pytest.approx(1.0, rel=1e-9)
-    # independent brute scan oracle at (n=1, p=1, eta=0.3):
-    # range of -e^{-(1-eta)x} L_1(x) over x >= 0
-    xs = np.linspace(0, 200, 400_001)
-    vals = -np.exp(-0.7 * xs) * (1 - xs)
-    brute = max(vals.max(), 0.0) - min(vals.min(), 0.0)
-    assert est.kernel_range(1, 1, 0.3) == pytest.approx(brute, rel=1e-6)
+def _scan_range(target, p, eta, x_end, n_points, scale=1.0):
+    """Brute-scan range (0 included) of scale * g_A^{(p)} along the real
+    axis, x = |z|^2 / eta in [0, x_end], through the Laguerre-2D path."""
+    xs = np.linspace(0.0, x_end, n_points)
+    vals = scale * est._operator_g(target, p, np.sqrt(eta * xs) + 0j, eta).real
+    return max(vals.max(), 0.0) - min(vals.min(), 0.0)
+
+
+KERNEL_RANGE_CASES = {
+    "vacuum-0.2": (0, 1, 0.2),
+    "vacuum-0.35": (0, 1, 0.35),
+    "vacuum-0.6": (0, 1, 0.6),
+    "fock1": (1, 1, 0.3),
+    "signed-diagonal": (fs.TargetOperator(np.diag([0.7, -1.3, 0.0, 0.4, -0.2])), 2, 0.35),
+    "witness3": (witness_operator(3), 3, 0.3),
+    "far-tail": (10, 1, 0.99),  # extrema near x = 1e3
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_RANGE_CASES), ids=list(KERNEL_RANGE_CASES))
+def test_kernel_range_values(case):
+    target, p, eta = KERNEL_RANGE_CASES[case]
+    if isinstance(target, int):
+        # the scaled range of eta^{n+1} g_nn
+        op, scale = fs.TargetOperator.fock_projector(target), eta ** (target + 1)
+    else:
+        op, scale = target, 1.0
+    deg = max(k for k, _ in op.diagonal_entries()) + p - 1
+    brute = _scan_range(op, p, eta, 3.0 * deg / (1.0 - eta) + 4 * deg + 16, 400_001, scale)
+    got = est.kernel_range(target, p, eta)
+    assert got == pytest.approx(brute, rel=1e-6)
+    assert got >= brute * (1.0 - 1e-12)
+    if case.startswith("vacuum"):
+        assert got == pytest.approx(1.0, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    diag=st.dictionaries(
+        st.integers(0, 14),
+        st.floats(-2.0, 2.0).filter(lambda a: abs(a) > 1e-3),
+        min_size=1,
+        max_size=15,
+    ),
+    p=st.integers(1, 5),
+    eta=st.floats(0.02, 0.98),
+)
+def test_kernel_range_never_below_scan(diag, p, eta):
+    d = np.zeros(15)
+    for k, a in diag.items():
+        d[k] = a
+    target = fs.TargetOperator(np.diag(d))
+    x_end = 1.5 * max(max(diag) + p - 1, 1) / (1.0 - eta)
+    brute = _scan_range(target, p, eta, x_end, 20_001)
+    assert est.kernel_range(target, p, eta) >= brute * (1.0 - 1e-12)
 
 
 def test_hoeffding_exponent_matches_paper_scaling():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -111,6 +112,15 @@ def test_gaussian_matrix_unitarity_columns():
     u = fs.gaussian_matrix(256, 24, g)
     norms = np.sum(np.abs(u) ** 2, axis=0)
     np.testing.assert_allclose(norms, 1.0, atol=1e-8)
+
+
+def test_gaussian_matrix_squeeze_with_large_displacement():
+    # the inner index covers the support of S|m>, not a range growing with
+    # 8 |beta|^2 (1,544 levels at |beta| = 12, which ran for minutes)
+    t0 = time.monotonic()
+    u = fs.gaussian_matrix(256, 8, fs.GaussianUnitaryParams(0.3, 0.4, 12))
+    assert time.monotonic() - t0 < 5.0
+    np.testing.assert_allclose(np.linalg.norm(u, axis=0), 1.0, rtol=0, atol=1e-10)
 
 
 def test_apply_gaussian_roundtrips():

@@ -4,7 +4,9 @@ Subcommands: state, sample, estimate, optimize-params, profile,
 witness-scan.  Every output file gets a sidecar ``<out>.manifest.json``
 recording the exact command line, input/output digests, seeds, and
 versions, sufficient to regenerate the output byte-for-byte.  All errors
-carry machine-readable codes; exit status is 0 only on full success.
+print a JSON object with a machine-readable code to stderr; the exit
+status is 0 on success, 64 for a malformed command line or input, and 2
+for any other library error.
 
 The environment variable STELLARQ_WORKERS sets the default worker count
 for sampling.
@@ -20,6 +22,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -244,6 +247,13 @@ def _parse_target(text: str):
     return fs.TargetOperator.core_projector(core), ("core", core)
 
 
+def _explicit_params(args):
+    """(p, eta) from --p and --eta, or None when neither is given."""
+    if (args.p is None) != (args.eta is None):
+        raise UsageError("--p and --eta go together: give both or neither")
+    return None if args.p is None else (args.p, args.eta)
+
+
 def _workers(args) -> int:
     """--workers, else STELLARQ_WORKERS, else 1; must be a positive integer."""
     text = str(os.environ.get("STELLARQ_WORKERS", "1") if args.workers is None else args.workers)
@@ -309,14 +319,15 @@ def cmd_sample(args, argv) -> int:
 def cmd_estimate(args, argv) -> int:
     t0 = time.monotonic()
     target, kind = _parse_target(args.target)
+    explicit = _explicit_params(args)
     try:
         delta = None if args.delta in (None, "none") else float(args.delta)
     except ValueError as exc:
         raise UsageError(f"cannot parse --delta {args.delta!r}; expected a number or 'none'") from exc
     batch = _load_input(dhd.load_csv, args.samples, "samples file")
     optimize_delta = None
-    if args.p is not None and args.eta is not None:
-        p, eta = args.p, args.eta
+    if explicit is not None:
+        p, eta = explicit
     elif target.is_diagonal:
         # with --delta none the CLT interval has no delta to optimize for;
         # the report records the one used
@@ -398,6 +409,7 @@ def cmd_profile(args, argv) -> int:
 
 def cmd_witness_scan(args, argv) -> int:
     t0 = time.monotonic()
+    explicit = _explicit_params(args)
     state = _load_state(args.state)
     try:
         nx_ny, extent_s = args.grid.split(":")
@@ -409,21 +421,23 @@ def cmd_witness_scan(args, argv) -> int:
         raise UsageError(f"--grid {args.grid!r} has no points")
     re = np.linspace(-extent, extent, nx)
     im = np.linspace(-extent, extent, ny)
-    alphas = (re[:, None] + 1j * im[None, :]).ravel()
-    if args.p is not None and args.eta is not None:
+    if explicit is not None:
         config = estimator.EstimatorConfig(
             target=negativity.witness_operator(args.n),
-            p=args.p,
-            eta=args.eta,
+            p=explicit[0],
+            eta=explicit[1],
             epsilon=args.epsilon,
             delta=None,
             bound_method=args.method,
         )
     else:
-        config = negativity.choose_witness_params(state, args.n, args.epsilon, args.n_samples)
+        config = replace(
+            negativity.choose_witness_params(state, args.n, args.epsilon, args.n_samples),
+            bound_method=args.method,
+        )
     workers = _workers(args)
     results = negativity.witness_scan(
-        state, alphas, args.n, config, args.seed, args.n_samples, n_workers=workers
+        state, re, im, args.n, config, args.seed, args.n_samples, n_workers=workers
     )
     negativity.scan_to_csv(results, args.out)
     certified = sum(1 for r in results if r.negativity_certified)
@@ -437,8 +451,19 @@ def cmd_witness_scan(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a malformed command line raised as a UsageError (exit 64).
+
+    Subcommand parsers inherit the class, so every parse error takes this
+    path; --help and --version still print and exit 0.
+    """
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="stellarq",
         description=(
             "Simulate double homodyne detection of single-mode states and certify "
@@ -507,12 +532,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _parse(argv):
+    """The parsed arguments, or None once --help or --version has printed."""
+    try:
+        return build_parser().parse_args(argv)
+    except SystemExit:  # parse errors raise UsageError instead
+        return None
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args, argv)
+        args = _parse(argv)
+        return 0 if args is None else args.func(args, argv)
     except UsageError as exc:
         print(json.dumps(exc.to_dict()), file=sys.stderr)
         return _EXIT_USAGE

@@ -50,7 +50,9 @@ __all__ = [
     "kernel_h",
     "kernel_range",
     "kernel_values",
+    "radial_kernel",
     "estimate",
+    "estimate_from_moments",
     "required_samples",
     "achieved_delta",
     "clt_required_samples",
@@ -355,14 +357,22 @@ def kernel_values(batch_samples: np.ndarray, config: EstimatorConfig) -> np.ndar
     """
     z = np.asarray(batch_samples, dtype=complex)
     if config.is_diagonal:
-        entries = _diagonal_entries_checked(config.target)
-        w = _diag_weights(entries, config.p, config.eta)
-        x = np.abs(z) ** 2 / config.eta
-        offset = 0.5 * (-1) ** config.p * sum(
-            a * _bias_full(k, config.p, config.eta) for k, a in entries
-        )
-        return _radial_eval(w, config.eta, x) + offset
+        w, offset = radial_kernel(config)
+        return _radial_eval(w, config.eta, np.abs(z) ** 2 / config.eta) + offset
     return _operator_g(config.target, config.p, z, config.eta)
+
+
+def radial_kernel(config: EstimatorConfig):
+    """(w, o) with h(z) = e^{-(1-eta) x} sum_m w_m L_m(x) + o, x = |z|^2 / eta.
+
+    The recentered kernel of a diagonal target: its Laguerre weights and
+    its half-bias offset o.
+    """
+    entries = _diagonal_entries_checked(config.target)
+    offset = 0.5 * (-1) ** config.p * sum(
+        a * _bias_full(k, config.p, config.eta) for k, a in entries
+    )
+    return _diag_weights(entries, config.p, config.eta), offset
 
 
 def _chunked_mean(values: np.ndarray):
@@ -443,12 +453,31 @@ def estimate(batch, config: EstimatorConfig) -> ConfidenceEstimate:
     n = samples.size
     if n == 0:
         raise DomainError("cannot estimate from an empty batch")
-    lam = _lambda(config.epsilon, config.bias())
+    _lambda(config.epsilon, config.bias())  # fail before the kernel pass
     values = kernel_values(samples, config)
     mean = _chunked_mean(values)
+    variance = None  # only the CLT interval reads it
+    if config.bound_method == CLT and config.is_diagonal:
+        variance = float(np.var(values))
+    elif config.bound_method == CLT:
+        variance = float(np.mean(np.abs(values - mean) ** 2))
+    return estimate_from_moments(config, n, mean, variance)
+
+
+def estimate_from_moments(
+    config: EstimatorConfig, n: int, mean, variance: float | None = None, known_range: float | None = None
+) -> ConfidenceEstimate:
+    """The interval of `estimate` from the kernel's sample moments over n samples.
+
+    ``variance`` is the (biased) sample variance of the kernel values,
+    which only the CLT method reads; ``known_range`` is the Hoeffding
+    kernel range when the caller has already computed it.
+    """
+    bias = config.bias()
+    lam = _lambda(config.epsilon, bias)
     common = dict(
         n_samples=int(n),
-        bias_bound=config.bias(),
+        bias_bound=bias,
         lam=lam,
         p=config.p,
         eta=config.eta,
@@ -459,7 +488,7 @@ def estimate(batch, config: EstimatorConfig) -> ConfidenceEstimate:
             raise UnsupportedTargetError(
                 "Hoeffding bounds cover Fock-diagonal targets only; use the CLT method"
             )
-        r = kernel_range(config.target, config.p, config.eta)
+        r = kernel_range(config.target, config.p, config.eta) if known_range is None else known_range
         if config.delta is not None:
             need = int(math.ceil(_hoeffding_n(config.delta, r, lam)))
             if n < need:
@@ -479,14 +508,8 @@ def estimate(batch, config: EstimatorConfig) -> ConfidenceEstimate:
             kernel_range=r,
             **common,
         )
-    # CLT branch
-    if config.is_diagonal:
-        sig2 = float(np.var(values))
-        val = float(np.real(mean))
-    else:
-        sig2 = float(np.mean(np.abs(values - mean) ** 2))
-        val = complex(mean)
-    sig2 = max(sig2, 1e-300)
+    val = float(np.real(mean)) if config.is_diagonal else complex(mean)
+    sig2 = max(variance, 1e-300)
     delta_clt = 1.0 - float(erf(lam * math.sqrt(n / (2.0 * sig2))))
     return ConfidenceEstimate(
         value=val,

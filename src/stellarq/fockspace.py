@@ -403,11 +403,15 @@ def photon_add(state: TruncatedState) -> TruncatedState:
 # index runs along every diagonal at once, and each element is assembled
 # in log magnitude so huge binomials against tiny Gaussian factors cannot
 # overflow.  The squeeze block uses its finite parity sum when the
-# smaller index stays below ~24 (few alternating terms, no cancellation),
-# and an adaptively padded, self-consistency-checked matrix exponential
-# otherwise.  The naive coupled (n, m) recurrence amplifies a parasitic
-# solution like (cosh r + sinh r)^n sqrt(width^n / n!) and is kept only
-# as a small-size cross-check in the test suite.
+# smaller index is at most 24 (at most 13 terms), and an adaptively
+# padded, self-consistency-checked matrix exponential otherwise.  The
+# parity sum alternates and does cancel near that threshold: against a
+# dim-900 matrix-exponential oracle, the 24 x 300 block at r = 1 is off
+# by 3.3e-11 (at row 23, column 89), by 1.0e-12 at r = 0.5, by 3.3e-14
+# at r = 0.2, and the 20 x 300 block at r = 1 by 3.9e-12.  The naive
+# coupled (n, m) recurrence amplifies a parasitic solution like
+# (cosh r + sinh r)^n sqrt(width^n / n!) and is kept only as a
+# small-size cross-check in the test suite.
 
 _SQUEEZE_CLOSED_MAX = 24
 
@@ -456,8 +460,10 @@ def _squeeze_matrix_closed(n_rows: int, m_cols: int, r: float, th: float) -> np.
           * cosh(r)^{-l-1/2} sqrt(n! m!) / l!,
     j = (n-l)/2, k = (m-l)/2, over l = min parity..min(n, m).
 
-    The sum has min(n, m)/2 + 1 alternating terms; accurate while the
-    smaller index is modest.
+    The sum has min(n, m)/2 + 1 alternating terms, whose cancellation
+    grows with the smaller index and with r: at 24 x 300 and r = 1 the
+    block is within 3.3e-11 of the matrix exponential (see the section
+    comment above).
     """
     c, t = math.cosh(r), math.tanh(r)
     out = np.zeros((n_rows, m_cols), dtype=complex)

@@ -1,10 +1,13 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stellarq import cli, dhd, fockspace as fs
+from stellarq import cli, dhd, fockspace as fs, negativity
 from stellarq.cli import main
 
 
@@ -223,6 +226,17 @@ _PROFILE = ["profile", "--k-max", "1", "--restarts", "1", "--out", "{out}"]
                      id="grid-nonsense"),
         pytest.param(["witness-scan", "--state", "{state}", "--grid", "0x0:1.0", "--out", "{out}"],
                      id="grid-empty"),
+        pytest.param(_ESTIMATE + ["--target", "fock:1", "--p", "2"], id="estimate-lone-p"),
+        pytest.param(_ESTIMATE + ["--target", "fock:1", "--eta", "0.3"], id="estimate-lone-eta"),
+        pytest.param(["witness-scan", "--state", "{state}", "--p", "3", "--out", "{out}"],
+                     id="scan-lone-p"),
+        pytest.param(["witness-scan", "--state", "{state}", "--eta", "0.2", "--out", "{out}"],
+                     id="scan-lone-eta"),
+        pytest.param(["sample", "--state", "{state}", "--n", "abc", "--seed", "1", "--out", "{out}"],
+                     id="bad-int"),
+        pytest.param(["sample", "--state", "{state}", "--n", "10", "--out", "{out}"],
+                     id="missing-required-flag"),
+        pytest.param(["bogus", "--out", "{out}"], id="unknown-subcommand"),
     ],
 )
 def test_malformed_input_exits_64(argv, cli_inputs, tmp_path, capsys):
@@ -232,4 +246,90 @@ def test_malformed_input_exits_64(argv, cli_inputs, tmp_path, capsys):
     assert rc == 64
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "usage-error"
+    assert not out.exists()
+
+
+def test_help_and_version_exit_0(capsys):
+    assert main(["--help"]) == 0
+    assert "witness-scan" in capsys.readouterr().out
+    assert main(["witness-scan", "-h"]) == 0
+    assert "--method" in capsys.readouterr().out
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.strip() == cli.__version__
+
+
+@pytest.mark.parametrize("method", ["hoeffding", "clt"])
+def test_witness_scan_applies_method(method, cli_inputs, tmp_path, monkeypatch):
+    """--method reaches every point when choose_witness_params picks (p, eta)."""
+    seen = []
+    write = negativity.scan_to_csv
+    monkeypatch.setattr(negativity, "scan_to_csv", lambda results, path: (seen.extend(results), write(results, path)))
+    out = tmp_path / "scan.csv"
+    rc = main(["witness-scan", "--state", str(cli_inputs["state"]), "--grid", "2x3:0.5",
+               "--epsilon", "0.2", "--n-samples", "20000", "--seed", "4", "--method", method,
+               "--out", str(out)])
+    assert rc == 0
+    assert len(seen) == 6 and len(out.read_text().splitlines()) == 7
+    assert all(r.estimate.method == method for r in seen)
+    assert all((r.estimate.kernel_range is not None) == (method == "hoeffding") for r in seen)
+
+
+_MISSING, _OUT = "{missing}", "{out}"
+# Each subcommand's flags, as (flag, value) pairs.  Input files are always
+# missing and the subcommands that read no file get no --out, so no argv
+# can reach sampling or an optimizer.
+_FUZZ_BASE = {
+    "state": [("--spec-file", _MISSING), ("--out", _OUT)],
+    "sample": [("--state", _MISSING), ("--n", "10"), ("--seed", "1"), ("--out", _OUT)],
+    "estimate": [("--samples", _MISSING), ("--target", "fock:1"), ("--epsilon", "0.2"), ("--out", _OUT)],
+    "witness-scan": [("--state", _MISSING), ("--out", _OUT)],
+    "optimize-params": [("--n", "1"), ("--epsilon", "0.2")],
+    "profile": [("--target", "fock:1"), ("--k-max", "1")],
+    "bogus": [],
+}
+_FUZZ_FLAGS = [
+    "--n", "--seed", "--p", "--eta", "--epsilon", "--delta", "--method", "--target", "--grid",
+    "--workers", "--zeta", "--translate", "--k-max", "--restarts", "--n-samples", "--state",
+    "--samples", "--spec-file", "-h", "--version", "--",
+]
+_FUZZ_VALUES = [
+    "1", "0", "-3", "abc", "0.2", "nan", "1e400", "", "fock:1", "fock:x", "witness:2",
+    '{"coeffs": [1', "clt", "hoeffding", "bayes", "2x2:1.0", "none", _MISSING,
+]
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A subcommand's flags, some dropped, with flag/value pairs and stray words inserted."""
+    cmd = draw(st.sampled_from(sorted(_FUZZ_BASE)))
+    pairs = [list(pair) for pair in _FUZZ_BASE[cmd] if draw(st.integers(0, 3))]
+    extra = st.tuples(st.sampled_from(_FUZZ_FLAGS), st.sampled_from(_FUZZ_VALUES)).map(list)
+    for pair in draw(st.lists(extra, max_size=3)):
+        pairs.insert(draw(st.integers(0, len(pairs))), pair)
+    stray = draw(st.lists(st.sampled_from(_FUZZ_FLAGS + _FUZZ_VALUES), max_size=1))
+    words = [w for pair in pairs for w in pair]
+    for word in stray:
+        words.insert(draw(st.integers(0, len(words))), word)
+    return draw(st.sampled_from([[]] * 4 + [["--version"], ["-x"]])) + [cmd] + words
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(argv=_fuzz_argv())
+def test_cli_fuzz_exit_codes(argv, fuzz_dir):
+    """Over parse-level and missing-file argv, main never raises and exits 0, 2 or 64."""
+    out = fuzz_dir / "out"
+    subs = {_MISSING: str(fuzz_dir / "nope"), _OUT: str(out)}
+    argv = [subs.get(a, a) for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 64)
+    if rc:
+        code = json.loads(err.getvalue())["error"]
+        assert (code == "usage-error") == (rc == 64)
     assert not out.exists()

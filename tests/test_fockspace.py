@@ -123,6 +123,19 @@ def test_gaussian_matrix_squeeze_with_large_displacement():
     np.testing.assert_allclose(np.linalg.norm(u, axis=0), 1.0, rtol=0, atol=1e-10)
 
 
+def test_squeeze_closed_form_accuracy_at_threshold():
+    """The parity sum at its largest size, 24 rows, against a dim-900 expm.
+
+    Measured: 3.3e-11 at 24 x 300, r = 1.0, theta = 0.1; the bound keeps
+    a factor 3 above it.
+    """
+    assert fs._SQUEEZE_CLOSED_MAX == 24
+    g = fs.GaussianUnitaryParams(1.0, 0.1, 0j)
+    closed = fs._squeeze_matrix_closed(24, 300, g.squeeze_r, g.squeeze_theta)
+    oracle = gaussian_block_expm(24, 300, g, dim=900)
+    assert np.max(np.abs(closed - oracle)) <= 1e-10
+
+
 def test_apply_gaussian_roundtrips():
     st = fs.make_lossy_fock(2, 0.8, 8)
     ident = fs.apply_gaussian(st, fs.GaussianUnitaryParams(), out_dim=8)

@@ -83,18 +83,20 @@ def test_vacuum_never_certifies_200_runs():
 
 
 def test_witness_scan(fig5_state):
-    assert neg.witness_scan(fig5_state, [], 1, None, seed=0, n_samples=10) == []
+    assert neg.witness_scan(fig5_state, [], [0.0], 1, None, seed=0, n_samples=10) == []
     # oracle first: the witness is comfortably certifiable at 0 and far
     # below threshold at |alpha| = 4
     assert neg.omega_true(fig5_state, 0, 1) > 0.5 + 0.1
     assert neg.omega_true(fig5_state, 4.0, 1) < 0.1
     cfg = neg.choose_witness_params(fig5_state, 1, 0.1, 150_000)
     results = neg.witness_scan(
-        fig5_state, [0, 4.0 + 0j, 0.3 + 0.3j], 1, cfg, seed=61, n_samples=150_000
+        fig5_state, [0.0, 0.3, 4.0], [0.0, 0.3], 1, cfg, seed=61, n_samples=150_000
     )
-    assert results[0].negativity_certified
-    assert not results[1].negativity_certified
+    # row-major in the real part
+    assert [r.alpha for r in results] == [complex(x, y) for x in (0, 0.3, 4) for y in (0, 0.3)]
     lookup = {r.alpha: r for r in results}
+    assert lookup[0j].negativity_certified
+    assert not lookup[4 + 0j].negativity_certified
     assert lookup[0j].omega_estimate == pytest.approx(
         neg.omega_true(fig5_state, 0, 1), abs=0.1
     )
@@ -102,11 +104,76 @@ def test_witness_scan(fig5_state):
 
 def test_scan_csv(tmp_path, fig5_state):
     cfg = est.EstimatorConfig(neg.witness_operator(1), 2, 0.2, 0.1, None, "clt")
-    results = neg.witness_scan(fig5_state, [0, 1 + 1j], 1, cfg, seed=62, n_samples=20_000)
+    results = neg.witness_scan(fig5_state, [0, 1], [0, 1], 1, cfg, seed=62, n_samples=20_000)
     path = tmp_path / "scan.csv"
     neg.scan_to_csv(results, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "re_alpha,im_alpha,omega,half_width,lower_bound,certified"
-    assert len(lines) == 3
+    assert len(lines) == 5
     first = lines[1].split(",")
     assert float(first[2]) - float(first[3]) == pytest.approx(float(first[4]), abs=1e-9)
+
+
+_GRID_RE, _GRID_IM = (-1.1, 0.0, 0.7), (-0.5, 1.3)
+
+
+@pytest.fixture(scope="module")
+def grid_batch(fig5_state):
+    return dhd.sample_q(fig5_state, 20_000, seed=5)
+
+
+def _feasible_witness_cells():
+    """(n, p, eta) over choose_witness_params's default grid where lambda > 0 at eps 0.1."""
+    for n in (1, 2, 3):
+        for p in (1, 2, 3, 4):
+            for eta in np.arange(0.06, 0.46, 0.02):
+                cfg = est.EstimatorConfig(neg.witness_operator(n), p, float(eta), 0.1, None, "clt")
+                if cfg.lam() > 0:
+                    yield n, p, float(eta)
+
+
+@pytest.mark.parametrize("method", ["clt", "hoeffding"])
+def test_grid_scan_matches_per_point_estimates(grid_batch, method):
+    """The separable grid path agrees with estimate_omega at every point of one batch.
+
+    The tolerance on omega is 1e-9 relative to max(1, |omega|): at n = 3,
+    p = 4, eta = 0.06 the kernel reaches 1e9 per sample and both paths
+    round at about 1e-15 of the estimate, which is then near 4e5.
+    """
+    cells = list(_feasible_witness_cells())
+    assert len(cells) > 60
+    for n, p, eta in cells:
+        cfg = est.EstimatorConfig(neg.witness_operator(n), p, eta, 0.1, None, method)
+        grid = neg.estimate_omega_grid(grid_batch, _GRID_RE, _GRID_IM, n, cfg)
+        alphas = [complex(x, y) for x in _GRID_RE for y in _GRID_IM]
+        assert [g.alpha for g in grid] == alphas
+        strict = (n, p, round(eta, 2)) == (1, 2, 0.2)
+        for g, a in zip(grid, alphas):
+            d = neg.estimate_omega(grid_batch, a, n, cfg)
+            tol = 1e-13 if strict else 1e-9 * max(1.0, abs(d.omega_estimate))
+            assert abs(g.omega_estimate - d.omega_estimate) <= tol, (n, p, eta, a)
+            assert g.negativity_certified == d.negativity_certified
+            assert g.estimate.method == d.estimate.method == method
+            if method == "clt":
+                rel = abs(g.estimate.sigma_hat / d.estimate.sigma_hat - 1.0)
+                assert rel <= (1e-13 if strict else 1e-9), (n, p, eta, a)
+            else:
+                assert g.estimate.kernel_range == d.estimate.kernel_range
+            assert g.confidence == pytest.approx(d.confidence, abs=1e-12)
+
+
+def test_grid_scan_chunking_and_translation(fig5_state):
+    """Batches that end mid-chunk or carry a translation give the per-point answer;
+    an empty batch raises as it does on the per-point path."""
+    cfg = est.EstimatorConfig(neg.witness_operator(1), 2, 0.2, 0.1, None, "clt")
+    for n_samples in (1, neg._GRID_CHUNK - 1, 2 * neg._GRID_CHUNK + 1):
+        b = dhd.translate_samples(dhd.sample_q(fig5_state, n_samples, seed=8), 0.4 - 0.2j)
+        grid = neg.estimate_omega_grid(b, [0.3], [-0.1, 0.6], 1, cfg)
+        for g in grid:
+            d = neg.estimate_omega(b, g.alpha, 1, cfg)
+            assert g.omega_estimate == pytest.approx(d.omega_estimate, rel=1e-12, abs=1e-12)
+            if n_samples > 1:  # one sample has no spread to compare
+                assert g.estimate.sigma_hat == pytest.approx(d.estimate.sigma_hat, rel=1e-9)
+    assert neg.estimate_omega_grid(b, [], [0.0], 1, cfg) == []
+    with pytest.raises(DomainError):
+        neg.witness_scan(fig5_state, [0.0], [0.0], 1, cfg, seed=1, n_samples=0)

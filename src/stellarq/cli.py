@@ -384,7 +384,14 @@ def cmd_optimize_params(args, argv) -> int:
 
 def cmd_profile(args, argv) -> int:
     t0 = time.monotonic()
-    if args.rank1_sweep:
+    for flag, value, least in (
+        ("--k-max", args.k_max, 1),
+        ("--restarts", args.restarts, 0),
+        ("--rank1-sweep", args.rank1_sweep, 1),
+    ):
+        if value is not None and value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
+    if args.rank1_sweep is not None:
         phis = np.linspace(0.0, math.pi / 2.0, args.rank1_sweep)
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("phi,max_fidelity\n")
@@ -399,7 +406,7 @@ def cmd_profile(args, argv) -> int:
         if kind == "witness":
             raise UsageError("profile targets are fock:N or JSON coeffs")
         target = fs.CoreState.fock(payload) if kind == "fock" else payload
-        k_max = args.k_max or target.stellar_rank
+        k_max = target.stellar_rank if args.k_max is None else args.k_max
         points = stellar.fidelity_profile(target, k_max, restarts=args.restarts, seed=args.seed)
         stellar.profile_to_csv(points, args.out)
     print(json.dumps({"out": args.out}))

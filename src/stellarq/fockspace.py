@@ -82,13 +82,11 @@ class GaussianUnitaryParams:
     def inverse(self) -> "GaussianUnitaryParams":
         """Parameters of G^dag, rewritten in S D order.
 
-        G^dag = D(-beta) S(-xi) = S(-xi) D(beta') with
-        beta' = -beta cosh r + conj(beta) e^{-i theta} sinh r.
+        G^dag = D(-beta) S(-xi) = S(-xi) D(-gamma), gamma the Heisenberg
+        shift of G = D(gamma) S(xi) (see ``_affine``).
         """
-        r, th, b = self.squeeze_r, self.squeeze_theta, self.displacement
-        beta_p = -b * math.cosh(r) + np.conj(b) * cmath.exp(-1j * th) * math.sinh(r)
-        theta_p = math.remainder(th + math.pi, 2 * math.pi)
-        return GaussianUnitaryParams(r, theta_p, complex(beta_p))
+        theta_p = math.remainder(self.squeeze_theta + math.pi, 2 * math.pi)
+        return GaussianUnitaryParams(self.squeeze_r, theta_p, -complex(_affine(self)[2]))
 
 
 class TruncatedState:
@@ -402,18 +400,18 @@ def photon_add(state: TruncatedState) -> TruncatedState:
 # Laguerre closed form: one stable upward recurrence in the smaller Fock
 # index runs along every diagonal at once, and each element is assembled
 # in log magnitude so huge binomials against tiny Gaussian factors cannot
-# overflow.  The squeeze block uses its finite parity sum when the
-# smaller index is at most 24 (at most 13 terms), and an adaptively
-# padded, self-consistency-checked matrix exponential otherwise.  The
-# parity sum alternates and does cancel near that threshold: against a
-# dim-900 matrix-exponential oracle, the 24 x 300 block at r = 1 is off
-# by 3.3e-11 (at row 23, column 89), by 1.0e-12 at r = 0.5, by 3.3e-14
-# at r = 0.2, and the 20 x 300 block at r = 1 by 3.9e-12.  The naive
-# coupled (n, m) recurrence amplifies a parasitic solution like
-# (cosh r + sinh r)^n sqrt(width^n / n!) and is kept only as a
-# small-size cross-check in the test suite.
+# overflow.  The squeeze block runs a three-term recurrence over its
+# rows when the smaller index is at most 24, and an adaptively padded,
+# self-consistency-checked matrix exponential otherwise.  Against a
+# dim-900 to dim-1600 matrix-exponential oracle the recurrence is off by
+# 8.0e-14 on the 24 x 300 block at r = 0.5, 3.7e-11 at r = 1 and 3.0e-10
+# at r = 2, by 2.6e-14 on the 5 x 300 block at r = 2, and run along the
+# long index by 5.9e-13 on the 300 x 24 block at r = 1 and 8.5e-13 on the
+# 1000 x 24 block at r = 1.5.  With both sides large it amplifies a
+# parasitic solution: at r = 1 the 60 x 60 block is off by 2.5e-8 and
+# the 200 x 200 block by 1e14.
 
-_SQUEEZE_CLOSED_MAX = 24
+_SQUEEZE_RECURRENCE_MAX = 24
 
 
 def _displacement_matrix(n_rows: int, m_cols: int, beta: complex) -> np.ndarray:
@@ -453,44 +451,32 @@ def _displacement_matrix(n_rows: int, m_cols: int, beta: complex) -> np.ndarray:
     return out
 
 
-def _squeeze_matrix_closed(n_rows: int, m_cols: int, r: float, th: float) -> np.ndarray:
-    """<n| S(xi) |m> by the parity sum
+def _squeeze_matrix_recurrence(n_rows: int, m_cols: int, r: float, th: float) -> np.ndarray:
+    """<n| S(xi) |m> by a three-term recurrence over rows, vectorized over m.
 
-    sum_l (-e^{-i th} t/2)^{j} / j! * (e^{i th} t/2)^{k} / k!
-          * cosh(r)^{-l-1/2} sqrt(n! m!) / l!,
-    j = (n-l)/2, k = (m-l)/2, over l = min parity..min(n, m).
-
-    The sum has min(n, m)/2 + 1 alternating terms, whose cancellation
-    grows with the smaller index and with r: at 24 x 300 and r = 1 the
-    block is within 3.3e-11 of the matrix exponential (see the section
-    comment above).
+    Row 0 has one term per entry,
+    <0|S|m> = sqrt(sech r) (e^{i th} tanh r / 2)^{m/2} sqrt(m!) / (m/2)!
+    for even m and 0 for odd m, assembled in log magnitude.  From
+    S a S^dag = cosh r a + e^{-i th} sinh r a^dag the later rows follow:
+    sqrt(n) <n|S|m> = sech r sqrt(m) <n-1|S|m-1>
+                      - e^{-i th} tanh r sqrt(n-1) <n-2|S|m>.
     """
-    c, t = math.cosh(r), math.tanh(r)
     out = np.zeros((n_rows, m_cols), dtype=complex)
     if r == 0.0:
         np.fill_diagonal(out, 1.0)
         return out
-    lf = log_factorial(np.arange(n_rows + m_cols + 2))
-    log_t2 = math.log(t / 2.0)
-    log_c = math.log(c)
-    m_all = np.arange(m_cols)
-    for n in range(n_rows):
-        for l in range(n % 2, min(n, m_cols - 1) + 1, 2):
-            j = (n - l) // 2
-            ms = m_all[(m_all >= l) & ((m_all - l) % 2 == 0)]
-            if ms.size == 0:
-                continue
-            k = (ms - l) // 2
-            logmag = (
-                (j + k) * log_t2
-                - lf[j]
-                - lf[k]
-                - (l + 0.5) * log_c
-                + 0.5 * (lf[n] + lf[ms])
-                - lf[l]
-            )
-            phase = (-cmath.exp(-1j * th)) ** j * np.exp(1j * th * k)
-            out[n, ms] += phase * np.exp(logmag)
+    sech, t = 1.0 / math.cosh(r), math.tanh(r)
+    half = np.arange(0, m_cols, 2) // 2
+    lf = log_factorial(np.arange(m_cols))
+    logmag = half * math.log(t / 2.0) + 0.5 * lf[2 * half] - lf[half] + 0.5 * math.log(sech)
+    out[0, ::2] = np.exp(logmag + 1j * th * half)
+    up = sech * np.sqrt(np.arange(1, m_cols))
+    back = -cmath.exp(-1j * th) * t
+    for n in range(1, n_rows):
+        out[n, 1:] = up * out[n - 1, :-1]
+        if n >= 2:
+            out[n] += back * math.sqrt(n - 1) * out[n - 2]
+        out[n] /= math.sqrt(n)
     return out
 
 
@@ -532,9 +518,14 @@ def _squeeze_matrix_expm(n_rows: int, m_cols: int, r: float, th: float) -> np.nd
 
 
 def _squeeze_block(n_rows: int, m_cols: int, r: float, th: float) -> np.ndarray:
-    if min(n_rows, m_cols) <= _SQUEEZE_CLOSED_MAX:
-        return _squeeze_matrix_closed(n_rows, m_cols, r, th)
+    if min(n_rows, m_cols) <= _SQUEEZE_RECURRENCE_MAX:
+        return _squeeze_matrix_recurrence(n_rows, m_cols, r, th)
     return _squeeze_matrix_expm(n_rows, m_cols, r, th)
+
+
+def _inner_dim(n_rows: int, m_cols: int, beta: complex) -> int:
+    """Starting inner size of S @ D(beta): covers the support of D(beta)|m>."""
+    return n_rows + m_cols + 32 + int(math.ceil(8.0 * abs(beta) ** 2 + 8.0 * abs(beta)))
 
 
 def gaussian_matrix(n_rows: int, m_cols: int, g: GaussianUnitaryParams) -> np.ndarray:
@@ -544,9 +535,9 @@ def gaussian_matrix(n_rows: int, m_cols: int, g: GaussianUnitaryParams) -> np.nd
     general case composes two blocks over an inner index grown until the
     requested block stops changing (tail below 1e-12):
 
-    * at most 24 rows: u = S @ D(beta), the squeeze rows in closed form
-      and the inner index covering the support of D(beta)|m>, about
-      |beta|^2 wide;
+    * at most 24 rows: u = S @ D(beta), the squeeze rows by their
+      recurrence and the inner index covering the support of D(beta)|m>,
+      about |beta|^2 wide;
     * otherwise u = D(gamma) @ S, where D(gamma) = S D(beta) S^dag, so the
       inner index covers the support of S|m> whatever |beta| is; a squeeze
       block with that many rows would need a matrix exponential padded
@@ -557,8 +548,8 @@ def gaussian_matrix(n_rows: int, m_cols: int, g: GaussianUnitaryParams) -> np.nd
         return _displacement_matrix(n_rows, m_cols, b)
     if b == 0:
         return _squeeze_block(n_rows, m_cols, r, th)
-    if n_rows <= _SQUEEZE_CLOSED_MAX:
-        inner = n_rows + m_cols + 32 + int(math.ceil(8.0 * abs(b) ** 2 + 8.0 * abs(b)))
+    if n_rows <= _SQUEEZE_RECURRENCE_MAX:
+        inner = _inner_dim(n_rows, m_cols, b)
 
         def block(k):
             return _squeeze_block(n_rows, k, r, th) @ _displacement_matrix(k, m_cols, b)
@@ -568,9 +559,7 @@ def gaussian_matrix(n_rows: int, m_cols: int, g: GaussianUnitaryParams) -> np.nd
         gamma = complex(_affine(g)[2])
 
         def block(k):
-            # <k| S(xi) |m> = conj(<m| S(-xi) |k>): m_cols rows, each vectorized over k
-            s_cols = _squeeze_block(m_cols, k, r, th + math.pi).conj().T
-            return _displacement_matrix(n_rows, k, gamma) @ s_cols
+            return _displacement_matrix(n_rows, k, gamma) @ _squeeze_block(k, m_cols, r, th)
 
     cur = None
     while True:

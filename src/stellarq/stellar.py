@@ -77,17 +77,16 @@ def _truncation_overlaps(k: int, g: GaussianUnitaryParams, phi: float, coeffs: n
     """w_m = <m| S(xi) D(beta) R(phi) |c> for m < k, small core c.
 
     Vectorized small-core pipeline: rotation phases on the coefficients,
-    the exact K x c displacement block, then the few-term squeeze rows.
+    the exact K x c displacement block, then the k squeeze rows.
     The inner Fock index is truncated at a generous K; the reported
     optimum is re-evaluated on the full prepared vector.
     """
-    from .fockspace import _displacement_matrix, _squeeze_matrix_closed
+    from .fockspace import _displacement_matrix, _inner_dim, _squeeze_matrix_recurrence
 
     v = coeffs * np.exp(-1j * phi * np.arange(coeffs.size))
-    b = g.displacement
-    K = k + coeffs.size + 32 + int(math.ceil(8.0 * abs(b) ** 2 + 8.0 * abs(b)))
-    vec = _displacement_matrix(K, coeffs.size, b) @ v
-    return _squeeze_matrix_closed(k, K, g.squeeze_r, g.squeeze_theta) @ vec
+    K = _inner_dim(k, coeffs.size, g.displacement)
+    vec = _displacement_matrix(K, coeffs.size, g.displacement) @ v
+    return _squeeze_matrix_recurrence(k, K, g.squeeze_r, g.squeeze_theta) @ vec
 
 
 def _objective_factory(target: CoreState, k: int):

@@ -136,11 +136,13 @@ def test_criterion_5_fig3b_rank1_certification(fig5_state):
     config = est.EstimatorConfig(
         fs.TargetOperator.fock_projector(1), opt.config.p, opt.config.eta, 0.2, 0.05
     )
+    # the profile is deterministic: build it once for all 20 verdicts
+    profile = stellar.fidelity_profile(framed_target, 1, restarts=8, seed=0)
     successes = 0
     for rep in range(20):
         batch = dhd.sample_unbalanced(fig5_state, -xi_r, n_req, seed=7300 + rep)
         res = est.estimate(batch, config)
-        verdict = stellar.rank_witness_verdict(res, framed_target, profile=None, restarts=8)
+        verdict = stellar.rank_witness_verdict(res, framed_target, profile=profile)
         if res.lower_bound > threshold and verdict["certified_rank"] >= 1:
             successes += 1
     ok = successes >= 19

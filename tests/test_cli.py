@@ -205,6 +205,10 @@ _PROFILE = ["profile", "--k-max", "1", "--restarts", "1", "--out", "{out}"]
         pytest.param(_PROFILE + ["--target", '{"c": [0, 1]}'], id="profile-json-no-coeffs"),
         pytest.param(_PROFILE + ["--target", "fock:x"], id="profile-fock-x"),
         pytest.param(_PROFILE + ["--target", "witness:1"], id="profile-witness"),
+        pytest.param(["profile", "--target", "fock:1", "--k-max", "0", "--out", "{out}"],
+                     id="profile-k-max-zero"),
+        pytest.param(_PROFILE + ["--target", "fock:1", "--restarts", "-3"], id="profile-restarts-negative"),
+        pytest.param(["profile", "--rank1-sweep", "0", "--out", "{out}"], id="profile-rank1-sweep-zero"),
         pytest.param(["state", "--spec", '{"core":{"coeffs":[0, "x"],"dim":8}}', "--out", "{out}"],
                      id="state-core-non-numeric"),
         pytest.param(["state", "--spec", '{"core":{"coeffs":[1],"r":"x","dim":8}}', "--out", "{out}"],

@@ -123,17 +123,31 @@ def test_gaussian_matrix_squeeze_with_large_displacement():
     np.testing.assert_allclose(np.linalg.norm(u, axis=0), 1.0, rtol=0, atol=1e-10)
 
 
-def test_squeeze_closed_form_accuracy_at_threshold():
-    """The parity sum at its largest size, 24 rows, against a dim-900 expm.
+@pytest.mark.parametrize(
+    "n_rows, m_cols, r, dim, bound",
+    [
+        # 24 rows is the threshold; measured 3.7e-11
+        pytest.param(24, 300, 1.0, 900, 1e-10, id="24x300-r1.0"),
+        # run along the long index: measured 5.9e-13
+        pytest.param(300, 24, 1.0, 1000, 5e-12, id="300x24-r1.0"),
+        # measured 8.0e-14
+        pytest.param(24, 300, 0.5, 900, 5e-13, id="24x300-r0.5"),
+    ],
+)
+def test_squeeze_recurrence_accuracy(n_rows, m_cols, r, dim, bound):
+    """The squeeze row recurrence at its threshold against an expm oracle."""
+    assert fs._SQUEEZE_RECURRENCE_MAX == 24
+    g = fs.GaussianUnitaryParams(r, 0.1, 0j)
+    got = fs._squeeze_matrix_recurrence(n_rows, m_cols, g.squeeze_r, g.squeeze_theta)
+    oracle = gaussian_block_expm(n_rows, m_cols, g, dim=dim)
+    assert np.max(np.abs(got - oracle)) <= bound
 
-    Measured: 3.3e-11 at 24 x 300, r = 1.0, theta = 0.1; the bound keeps
-    a factor 3 above it.
-    """
-    assert fs._SQUEEZE_CLOSED_MAX == 24
-    g = fs.GaussianUnitaryParams(1.0, 0.1, 0j)
-    closed = fs._squeeze_matrix_closed(24, 300, g.squeeze_r, g.squeeze_theta)
-    oracle = gaussian_block_expm(24, 300, g, dim=900)
-    assert np.max(np.abs(closed - oracle)) <= 1e-10
+
+def test_squeeze_recurrence_tall_column_norms():
+    # S|m> is a unit vector; 4,096 rows hold its whole support at r = 2
+    # (measured 3.2e-15 off)
+    u = fs._squeeze_matrix_recurrence(4096, 6, 2.0, 0.3)
+    np.testing.assert_allclose(np.linalg.norm(u, axis=0), 1.0, rtol=0, atol=1e-14)
 
 
 def test_apply_gaussian_roundtrips():

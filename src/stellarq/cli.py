@@ -396,9 +396,8 @@ def cmd_profile(args, argv) -> int:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("phi,max_fidelity\n")
             for phi in phis:
-                fh.write(
-                    f"{phi:.12g},{stellar.rank1_core_profile(float(phi), seed=args.seed):.12g}\n"
-                )
+                ceiling = stellar.rank1_core_profile(float(phi), restarts=args.restarts, seed=args.seed)
+                fh.write(f"{phi:.12g},{ceiling:.12g}\n")
     else:
         if args.target is None:
             raise UsageError("profile needs --target or --rank1-sweep")

@@ -63,7 +63,10 @@ class UnsupportedTargetError(StellarQError):
 
 
 class OptimizerError(StellarQError):
-    """Derivative-free search failed to converge in every restart."""
+    """The rank-bounded fidelity search found no ceiling.
+
+    No restart converged, or the best restart stopped on the search box.
+    """
 
     code = "optimizer-failure"
 

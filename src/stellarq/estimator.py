@@ -473,18 +473,29 @@ def estimate_from_moments(
     which only the CLT method reads; ``known_range`` is the Hoeffding
     kernel range when the caller has already computed it.
     """
+    return _interval_from_moments(config, _interval_constants(config), n, mean, variance, known_range)
+
+
+def _interval_constants(config: EstimatorConfig) -> tuple:
+    """(bias, lam, p_n, is_diagonal): what every interval of one config shares."""
     bias = config.bias()
-    lam = _lambda(config.epsilon, bias)
+    return bias, _lambda(config.epsilon, bias), config.pn_by_index(), config.is_diagonal
+
+
+def _interval_from_moments(
+    config: EstimatorConfig, constants: tuple, n: int, mean, variance, known_range
+) -> ConfidenceEstimate:
+    bias, lam, p_n, diagonal = constants
     common = dict(
         n_samples=int(n),
         bias_bound=bias,
         lam=lam,
         p=config.p,
         eta=config.eta,
-        p_n=config.pn_by_index(),
+        p_n=dict(p_n),
     )
     if config.bound_method == HOEFFDING:
-        if not config.is_diagonal:
+        if not diagonal:
             raise UnsupportedTargetError(
                 "Hoeffding bounds cover Fock-diagonal targets only; use the CLT method"
             )
@@ -508,7 +519,7 @@ def estimate_from_moments(
             kernel_range=r,
             **common,
         )
-    val = float(np.real(mean)) if config.is_diagonal else complex(mean)
+    val = float(np.real(mean)) if diagonal else complex(mean)
     sig2 = max(variance, 1e-300)
     delta_clt = 1.0 - float(erf(lam * math.sqrt(n / (2.0 * sig2))))
     return ConfidenceEstimate(

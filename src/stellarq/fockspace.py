@@ -412,6 +412,7 @@ def photon_add(state: TruncatedState) -> TruncatedState:
 # the 200 x 200 block by 1e14.
 
 _SQUEEZE_RECURRENCE_MAX = 24
+_LAGUERRE_RESCALE = 2.0**512
 
 
 def _displacement_matrix(n_rows: int, m_cols: int, beta: complex) -> np.ndarray:
@@ -429,17 +430,36 @@ def _displacement_matrix(n_rows: int, m_cols: int, beta: complex) -> np.ndarray:
     m = np.arange(steps)[:, None]
     far = m + a  # the larger Fock index; only entries below width are kept
     lf = log_factorial(np.arange(width))
-    lag = np.ones((steps, width))  # lag[m, a] = L_m^{(a)}(x)
+    lag = np.ones((steps, width))  # lag[m, a] 2^shift[m, a] = L_m^{(a)}(x)
+    rescaled = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         prev, cur = np.zeros(width), lag[0]
         for j in range(1, steps):
             prev, cur = cur, ((2 * (j - 1) + a + 1 - x) * cur - (j - 1 + a) * prev) / j
+            # a step grows a value at most (2 a + x + 3)-fold, so checking every
+            # 8 steps against 2^512 stays far below overflow; a per-column
+            # power of two is exact and keeps the values finite
+            if j % 8 == 0 and np.max(np.abs(cur)) > _LAGUERRE_RESCALE:
+                _, e = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
+                unit_step = np.ldexp(1.0, -e)
+                prev, cur = prev * unit_step, cur * unit_step
+                rescaled.append((j, e))
             lag[j] = cur
+        log_lag = np.log(np.abs(lag))
+        if rescaled:
+            shift = np.zeros(lag.shape, dtype=int)
+            for j, e in rescaled:
+                shift[j] = e
+            shift = np.cumsum(shift, axis=0)
+            # rebuilt exactly where the unscaled value is finite, so those
+            # entries match the unrescaled recurrence bit for bit
+            full = np.ldexp(lag, shift)
+            log_lag = np.where(np.isinf(full), log_lag + shift * math.log(2.0), np.log(np.abs(full)))
         logmag = (
             a * math.log(abs(beta))
             + 0.5 * (lf[m] - lf[np.minimum(far, width - 1)])
             - 0.5 * x
-            + np.log(np.abs(lag))
+            + log_lag
         )
         val = np.sign(lag) * np.exp(logmag)
     unit = beta / abs(beta)
@@ -462,7 +482,7 @@ def _squeeze_matrix_recurrence(n_rows: int, m_cols: int, r: float, th: float) ->
                       - e^{-i th} tanh r sqrt(n-1) <n-2|S|m>.
     """
     out = np.zeros((n_rows, m_cols), dtype=complex)
-    if r == 0.0:
+    if r < 1e-300:  # S = 1 to double precision; log(tanh r / 2) would underflow
         np.fill_diagonal(out, 1.0)
         return out
     sech, t = 1.0 / math.cosh(r), math.tanh(r)

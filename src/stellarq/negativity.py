@@ -26,8 +26,9 @@ from .estimator import (
     CLT,
     ConfidenceEstimate,
     EstimatorConfig,
+    _interval_constants,
+    _interval_from_moments,
     estimate,
-    estimate_from_moments,
     kernel_range,
     kernel_values,
     radial_kernel,
@@ -198,7 +199,8 @@ def estimate_omega_grid(
     The witness kernel is radial, so the grid's sample sums come from
     chunked matrix products (see _grid_kernel_sums) instead of one pass
     over the batch per point; the intervals then come from the same
-    estimate_from_moments as the single-point path.
+    moments-to-interval step as the single-point path, with the config's
+    bias, p_n thresholds and diagonality computed once per scan.
     """
     re_axis = np.asarray(re_axis, dtype=float).ravel()
     im_axis = np.asarray(im_axis, dtype=float).ravel()
@@ -215,11 +217,13 @@ def estimate_omega_grid(
     mean_f = sums[0] / n_samples
     var = np.maximum(sums[1] / n_samples - mean_f**2, 0.0) if clt else None
     known_range = None if clt else kernel_range(cfg.target, cfg.p, cfg.eta)
+    constants = _interval_constants(cfg)
     results = []
     for a, re in enumerate(re_axis):
         for b, im in enumerate(im_axis):
-            res = estimate_from_moments(
+            res = _interval_from_moments(
                 cfg,
+                constants,
                 n_samples,
                 float(mean_f[a, b] + offset),
                 None if var is None else float(var[a, b]),

@@ -162,6 +162,30 @@ def test_rank1_sweep_cmd(tmp_path):
     assert float(rows[-1][1]) == pytest.approx(0.478, abs=1e-3)
 
 
+def test_rank1_sweep_honours_restarts(tmp_path, monkeypatch):
+    seen = []
+
+    def fake(phi, chi=0.0, restarts=32, seed=0):
+        seen.append((restarts, seed))
+        return 0.5
+
+    monkeypatch.setattr(cli.stellar, "rank1_core_profile", fake)
+    out = tmp_path / "sweep.csv"
+    assert run(tmp_path, "profile", "--rank1-sweep", 3, "--restarts", 5, "--seed", 9,
+               "--out", out) == 0
+    assert seen == [(5, 9)] * 3
+
+
+def test_profile_columns_canonical(tmp_path):
+    out = tmp_path / "profile.csv"
+    assert run(tmp_path, "profile", "--target", "fock:2", "--restarts", 8, "--out", out) == 0
+    rows = [[float(t) for t in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    for _, _, _, _, re_beta, im_beta in rows:
+        assert im_beta == 0.0
+        assert re_beta >= 0.0
+
+
 def test_witness_scan_cmd(tmp_path):
     state = tmp_path / "one.json"
     run(tmp_path, "state", "--spec", '{"fock":{"n":1,"dim":8}}', "--out", state)

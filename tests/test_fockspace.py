@@ -123,6 +123,22 @@ def test_gaussian_matrix_squeeze_with_large_displacement():
     np.testing.assert_allclose(np.linalg.norm(u, axis=0), 1.0, rtol=0, atol=1e-10)
 
 
+def test_displacement_matrix_finite_far_from_the_diagonal():
+    # the Laguerre values overflowed from |n - m| = 379 on and the
+    # recurrence then formed inf - inf
+    d = fs._displacement_matrix(1024, 1100, 0.5)
+    assert np.all(np.isfinite(d))
+    assert np.max(np.linalg.norm(d, axis=0)) <= 1.0 + 1e-12
+    u = fs.gaussian_matrix(1024, 2, fs.GaussianUnitaryParams(0.3, 0.4, 0.5))
+    assert np.all(np.isfinite(u))
+    assert np.max(np.linalg.norm(u, axis=0)) <= 1.0 + 1e-12
+
+
+def test_squeeze_recurrence_subnormal_r():
+    u = fs._squeeze_matrix_recurrence(3, 5, 5e-324, 0.0)
+    np.testing.assert_array_equal(u, np.eye(3, 5))
+
+
 @pytest.mark.parametrize(
     "n_rows, m_cols, r, dim, bound",
     [

@@ -87,18 +87,24 @@ class ProfilePoint:
 def _prepared_vector(target: CoreState) -> np.ndarray:
     """Fock amplitudes of the target, exact or tail-certified.
 
-    Frameless targets are exact; framed targets are extended until the
-    dropped norm is below 1e-12, which perturbs the objective by less
-    than ~2e-12.
+    Frameless targets are exact.  A framed target's vector is cut at the
+    first dim d whose dropped part, the amplitudes d..2d-1 of the vector
+    at dim 2d, has norm below 1e-12 (at 4096 levels otherwise).  The
+    objective ||P w||^2 moves to first order by 2 Re <P w, P delta>,
+    linearly in the dropped amplitude, so the cut moves it by about
+    2e-12 at most.  The norm is taken of the dropped part itself:
+    1 - ||v||^2 cancels to rounding and measures the square of that
+    amplitude, not the amplitude.
     """
     c = np.asarray(target.coeffs, dtype=complex)
     if target.gaussian_frame.is_identity:
         return c
     dim = max(4 * c.size, 32)
     while True:
-        v = target.fock_vector(dim)
-        tail = 1.0 - float(np.vdot(v, v).real)
-        if tail < _TAIL_TOL or dim >= 4096:
+        v = target.fock_vector(2 * dim)
+        if np.linalg.norm(v[dim:]) < _TAIL_TOL:
+            return v[:dim]
+        if 2 * dim >= 4096:
             return v
         dim *= 2
 

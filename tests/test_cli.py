@@ -203,14 +203,15 @@ def test_witness_scan_cmd(tmp_path):
 
 @pytest.fixture(scope="module")
 def cli_inputs(tmp_path_factory):
-    """A valid state file, a valid samples file and one with a bad row."""
+    """A valid state file, a valid samples file, one with a bad row and one cut short."""
     d = tmp_path_factory.mktemp("cli_inputs")
-    state, samples, bad = d / "one.json", d / "s.csv", d / "bad.csv"
+    state, samples, bad, cut = d / "one.json", d / "s.csv", d / "bad.csv", d / "cut.csv"
     assert main(["state", "--spec", '{"fock":{"n":1,"dim":8}}', "--out", str(state)]) == 0
     assert main(["sample", "--state", str(state), "--n", "2000", "--seed", "1",
                  "--out", str(samples)]) == 0
     bad.write_text(samples.read_text() + "0.5;0.25\n")
-    return {"state": state, "samples": samples, "bad_csv": bad, "missing": d / "nope"}
+    cut.write_text("".join(samples.read_text().splitlines(keepends=True)[:-1]))
+    return {"state": state, "samples": samples, "bad_csv": bad, "cut_csv": cut, "missing": d / "nope"}
 
 
 _ESTIMATE = ["estimate", "--samples", "{samples}", "--epsilon", "0.2", "--out", "{out}"]
@@ -248,6 +249,8 @@ _PROFILE = ["profile", "--k-max", "1", "--restarts", "1", "--out", "{out}"]
                       "--out", "{out}"], id="missing-samples"),
         pytest.param(["estimate", "--samples", "{bad_csv}", "--target", "fock:1", "--epsilon", "0.2",
                       "--p", "2", "--eta", "0.3", "--out", "{out}"], id="malformed-csv-row"),
+        pytest.param(["estimate", "--samples", "{cut_csv}", "--target", "fock:1", "--epsilon", "0.2",
+                      "--p", "2", "--eta", "0.3", "--out", "{out}"], id="truncated-csv"),
         pytest.param(["sample", "--state", "{state}", "--n", "10", "--seed", "1", "--workers", "0",
                       "--out", "{out}"], id="workers-zero"),
         pytest.param(["witness-scan", "--state", "{state}", "--grid", "nonsense", "--out", "{out}"],

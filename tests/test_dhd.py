@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2, kstest
 
 from stellarq import dhd, estimator, fockspace as fs
@@ -189,3 +190,104 @@ def test_headerless_csv_accepted(tmp_path):
     b = dhd.load_csv(path)
     assert b.n == 2
     assert b.samples[1] == 1.0 + 2.0j
+
+
+def _reference_csv(batch) -> str:
+    """The sample file as one f-string per line, the format's definition."""
+    lines = [f"# seed={batch.seed} n={batch.n} acceptance={batch.acceptance_rate:.17g}\n"]
+    if batch.zeta != 0:
+        lines.append(f"# zeta={batch.zeta.real:.17g},{batch.zeta.imag:.17g}\n")
+    if batch.translation != 0:
+        lines.append(f"# translation={batch.translation.real:.17g},{batch.translation.imag:.17g}\n")
+    lines.extend(f"{z.real:.17g},{z.imag:.17g}\n" for z in batch.effective_samples())
+    return "".join(lines)
+
+
+_SPECIAL = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7976931348623157e308, 0.1]
+
+
+def test_save_csv_matches_reference_formatter(tmp_path):
+    rng = np.random.default_rng(8)
+    # 2 BLOCKs and a partial one, exponents over the whole double range
+    size = 2 * dhd.BLOCK + 17
+    parts = rng.standard_normal(2 * size) * 10.0 ** rng.integers(-300, 301, 2 * size)
+    z = parts.view(complex)
+    z[: len(_SPECIAL) ** 2] = [complex(a, b) for a in _SPECIAL for b in _SPECIAL]
+    batch = dhd.SampleBatch(z, seed=12, acceptance_rate=0.3, zeta=0.25 - 0.5j)
+    for b in (batch, dhd.translate_samples(batch, 0.1 + 0.7j), dhd.SampleBatch(z[:0], 0, 1.0)):
+        path = tmp_path / "s.csv"
+        dhd.save_csv(b, path)
+        assert path.read_bytes() == _reference_csv(b).encode()
+
+
+_DOUBLES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(_SPECIAL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(st.tuples(_DOUBLES, _DOUBLES), max_size=40),
+       seed=st.integers(0, 2**63 - 1), acceptance=st.floats(0.0, 1.0))
+def test_csv_roundtrip_bit_identical(parts, seed, acceptance, tmp_path_factory):
+    z = np.array([complex(a, b) for a, b in parts], dtype=complex)
+    batch = dhd.SampleBatch(z, seed=seed, acceptance_rate=acceptance)
+    path = tmp_path_factory.mktemp("roundtrip") / "s.csv"
+    dhd.save_csv(batch, path)
+    loaded = dhd.load_csv(path)
+    # assert_array_equal counts NaN equal to NaN but -0.0 equal to 0.0, so
+    # the signs are compared apart; a NaN's sign does not survive "nan"
+    np.testing.assert_array_equal(loaded.samples, z)
+    signed = ~np.isnan(z.view(float))
+    np.testing.assert_array_equal(np.signbit(loaded.samples.view(float))[signed], np.signbit(z.view(float))[signed])
+    assert (loaded.seed, loaded.acceptance_rate) == (seed, acceptance)
+
+
+# (file text, samples, seed) when the file loads; ValueError when it is refused
+_LOAD_TABLE = [
+    pytest.param(b"\n1,2\n\n3,4\n\n", [1 + 2j, 3 + 4j], 0, id="blank-lines"),
+    pytest.param(b" 1 , 2 \n\t3,\t-4\t\n", [1 + 2j, 3 - 4j], 0, id="whitespace-around-fields"),
+    pytest.param(b"# seed=5 n=2\r\n1,2\r\n3,4\r\n", [1 + 2j, 3 + 4j], 5, id="crlf"),
+    pytest.param(b"# seed=5 n=2\r1,2\r3,4\r", [1 + 2j, 3 + 4j], 5, id="cr-only"),
+    pytest.param(b"1,2\n# seed=4 acceptance=0.5\n3,4\n", [1 + 2j, 3 + 4j], 4, id="header-mid-file"),
+    pytest.param(b"0.5,-0.25\n1.0,2.0\n", [0.5 - 0.25j, 1 + 2j], 0, id="headerless"),
+    pytest.param(b"", [], 0, id="empty"),
+    pytest.param(b" \n\n", [], 0, id="whitespace-only"),
+    pytest.param(b"# seed=1 n=0 acceptance=1\n", [], 1, id="header-only"),
+    pytest.param(b"  # seed=7\n", [], 7, id="indented-header-only"),
+    pytest.param(b"# seed=3 n=1 sigma=1.5 acceptance=0.25\n0.5,-1\n", [0.5 - 1j], 3, id="legacy-sigma"),
+    pytest.param(b"# seed=1 n=1\n1,2\n# seed=2 n=2\n3,4\n5,6\n", [1 + 2j, 3 + 4j, 5 + 6j], 2,
+                 id="concatenated-files"),
+    pytest.param(b"nan,-inf\n-0,4.9406564584124654e-324\n",
+                 [complex(math.nan, -math.inf), complex(-0.0, 5e-324)], 0, id="special-values"),
+    # known difference: numpy's reader strips a trailing comment, so this row now loads
+    pytest.param(b"1,2 # note\n", [1 + 2j], 0, id="trailing-comment"),
+    pytest.param(b"0.5;0.25\n", ValueError, 0, id="semicolon"),
+    pytest.param(b"1,2,3\n", ValueError, 0, id="three-columns"),
+    pytest.param(b"1\n2\n", ValueError, 0, id="one-column"),
+    pytest.param(b"1,2\n1\n", ValueError, 0, id="ragged"),
+    pytest.param(b"abc,1\n", ValueError, 0, id="not-a-number"),
+    pytest.param(b"1,2,\n", ValueError, 0, id="trailing-comma"),
+    pytest.param(b"1,2\n\xff,3\n", ValueError, 0, id="not-utf8"),
+    pytest.param(b"# seed=x\n1,2\n", ValueError, 0, id="bad-seed"),
+    pytest.param(b"# seed=1 n=3\n1,2\n3,4\n", ValueError, 0, id="truncated"),
+    pytest.param(b"# seed=1 n=1\n1,2\n3,4\n", ValueError, 0, id="extra-row"),
+    # known difference: float() took the underscore literal 1_0, numpy's reader does not
+    pytest.param(b"1_0,2\n", ValueError, 0, id="underscore-literal"),
+    # known difference: numpy's reader skips empty lines, not lines of spaces, and
+    # an indented `#` line leaves spaces behind once its comment is stripped
+    pytest.param(b"1,2\n  \n3,4\n", ValueError, 0, id="spaces-line-between-rows"),
+    pytest.param(b"  # seed=7\n1,2\n", ValueError, 0, id="indented-header-before-rows"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, want, seed", _LOAD_TABLE)
+def test_load_csv_table(text, want, seed, tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes(text)
+    if want is ValueError:
+        with pytest.raises(ValueError):
+            dhd.load_csv(path)
+        return
+    b = dhd.load_csv(path)
+    np.testing.assert_array_equal(b.samples, np.array(want, dtype=complex))
+    assert b.samples.dtype == complex and b.samples.shape == (len(want),)
+    assert b.seed == seed

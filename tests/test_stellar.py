@@ -47,8 +47,8 @@ def test_k_robustness():
 
 def test_k_robustness_gaussian_invariance():
     # the search runs on the bare core, so a frame changes only the
-    # certified re-evaluation of the winner, whose prepared vector drops a
-    # norm below 1e-12 (1.1e-9 in the robustness of the |2> case)
+    # certified re-evaluation of the winner, whose prepared vector drops an
+    # amplitude below 1e-12
     for n, k, frame in (
         (1, 1, fs.GaussianUnitaryParams(0.45, 1.2, 0.6 - 0.3j)),
         (2, 2, fs.GaussianUnitaryParams(0.3, -0.7, 0.4 + 0.5j)),
@@ -57,7 +57,16 @@ def test_k_robustness_gaussian_invariance():
         framed = fs.CoreState(plain.coeffs, frame)
         r1 = stellar.k_robustness(plain, k, restarts=16)
         r2 = stellar.k_robustness(framed, k, restarts=16)
-        assert r1 == pytest.approx(r2, abs=1e-8)
+        assert r1 == pytest.approx(r2, abs=1e-10)
+
+
+def test_framed_ceiling_matches_a_long_vector():
+    # cut where 1 - ||v||^2 fell below 1e-12 (dim 32, a dropped amplitude
+    # near 1e-6), this ceiling read 1.4e-9 low
+    target = fs.CoreState((0, 0, 1), fs.GaussianUnitaryParams(0.3, -0.7, 0.4 + 0.5j))
+    pt = stellar.max_fidelity_rank_bounded(target, 2)
+    w = fs.gaussian_matrix(2, 256, pt.optimal_params) @ target.fock_vector(256)
+    assert pt.max_fidelity == pytest.approx(float(np.vdot(w, w).real), abs=1e-12)
 
 
 def _extended_fidelity(coeffs, k, x):

@@ -26,12 +26,6 @@ class DomainError(StellarQError):
     code = "domain-error"
 
 
-class DegreeLimitError(StellarQError):
-    """A polynomial degree exceeds the recurrence degree bound."""
-
-    code = "degree-limit"
-
-
 class CutoffError(StellarQError):
     """Fock truncation lost more probability mass than allowed."""
 

@@ -13,6 +13,16 @@ g_A^{(p)} estimates Tr(A rho) (checked against exact Gaussian moments in
 the tests); on the diagonal, where every tabulated quantity lives, the
 order is immaterial.
 
+Every kernel is one Laguerre series per Fock offset d = l - k.  With
+q = min(k, l), phi_d(w) = w^d (d >= 0) or conj(w)^{|d|} (d < 0), the
+reduction L2D_{k,l}(w) = (-1)^q sqrt(q!/(q+|d|)!) phi_d(w) L_q^{(|d|)}(|w|^2)
+keeps d fixed under the shifts k, l -> k+j, l+j, so with w = z/sqrt(eta),
+x = |w|^2 and c = 1 - eta
+
+    g_A^{(p)}(z) = e^{-c x} sum_d phi_d(w) sum_q W_{d,q} L_q^{(|d|)}(x).
+
+The d = 0 series of a diagonal target is its radial kernel.
+
 For diagonal targets the kernel is radial and real; recentering it by
 half the analytic bias bound gives the estimator h_n^{(p)} whose
 deviation splits into a Hoeffding term lambda and the bias term, yielding
@@ -111,13 +121,15 @@ def kernel_f(k: int, l: int, z: complex, eta: float) -> complex:
 def kernel_g(k: int, l: int, p: int, z: complex, eta: float) -> complex:
     """Alternating sum g_{k,l}^{(p)}(z, eta) of shifted f kernels."""
     _check_eta(eta, p)
-    return complex(_vector_g(k, l, p, np.array([complex(z)]), eta)[0])
+    if k < 0 or l < 0:
+        raise DomainError(f"Fock indices must be nonnegative, got ({k}, {l})")
+    return complex(_kernel_at(_series_weights([(k, l, 1.0)], p, eta), eta, z))
 
 
 def kernel_g_operator(a: TargetOperator, p: int, z: complex, eta: float) -> complex:
     """g_A^{(p)}(z, eta) = sum_kl A_kl g_{k,l}^{(p)}(z, eta)."""
     _check_eta(eta, p)
-    return complex(_operator_g(a, p, np.array([complex(z)]), eta)[0])
+    return complex(_kernel_at(_operator_weights(a, p, eta), eta, z))
 
 
 def kernel_h(n: int, p: int, z: complex, eta: float) -> float:
@@ -126,55 +138,69 @@ def kernel_h(n: int, p: int, z: complex, eta: float) -> float:
     return float(g.real + 0.5 * (-1) ** p * _bias_full(n, p, eta))
 
 
-def _vector_g(k: int, l: int, p: int, z: np.ndarray, eta: float) -> np.ndarray:
-    """g_{k,l}^{(p)} over an array of samples, for arbitrary (k, l)."""
-    w = z / math.sqrt(eta)
-    gauss = np.exp((1.0 - 1.0 / eta) * np.abs(z) ** 2)
-    total = np.zeros(z.shape, dtype=complex)
-    for j in range(p):
-        kk, ll = k + j, l + j
-        wt = math.exp(
-            j * math.log(eta)
-            + 0.5 * (specfun.log_binomial(kk, k) + specfun.log_binomial(ll, l))
-        )
-        l2d = specfun.laguerre2d(kk, ll, w)
-        total += (-1) ** j * wt * l2d / eta ** (1.0 + (kk + ll) / 2.0)
-    return total * gauss
+def _series_weights(entries, p: int, eta: float) -> dict:
+    """{d: W_d} of sum a g_{k,l}^{(p)} over entries (k, l, a), real if every a is.
 
-
-def _operator_g(a: TargetOperator, p: int, z: np.ndarray, eta: float) -> np.ndarray:
-    """g_A^{(p)} over an array of samples: the support sum of _vector_g."""
-    vals = np.zeros(z.shape, dtype=complex)
-    for k, l in a.support_indices():
-        vals += a.matrix[k, l] * _vector_g(k, l, p, z, eta)
-    return vals
-
-
-# ---------------------------------------------------------------------------
-# Radial form of diagonal kernels
-# ---------------------------------------------------------------------------
-
-
-def _diag_weights(entries, p: int, eta: float) -> np.ndarray:
-    """Laguerre-expansion weights of a weighted diagonal kernel.
-
-    sum_k a_k g_{k,k}^{(p)}(z, eta)
-        = e^{-(1-eta) x} sum_m w_m L_m(x),   x = |z|^2 / eta,
-    with w_m = sum_k a_k (-1)^k eta^{-(k+1)} C(m, k) for m - k in [0, p).
+    Entry (k, l, a) and shift j < p add, at q = m + j with m = min(k, l), the term
+    a (-1)^m eta^{-(1+m+|d|/2)} sqrt(C(k+j,k) C(l+j,l) q!/(q+|d|)!).
     """
-    deg = max(k for k, _ in entries) + p - 1
-    w = np.zeros(deg + 1)
-    for k, a in entries:
+    if not entries:
+        raise DomainError("target operator is zero")
+    sizes = {}
+    for k, l, _ in entries:
+        sizes[l - k] = max(sizes.get(l - k, 0), min(k, l) + p)
+    dtype = complex if any(isinstance(a, complex) for _, _, a in entries) else float
+    weights = {d: np.zeros(size, dtype) for d, size in sorted(sizes.items())}
+    lf = specfun.log_factorial(np.arange(max(max(k, l) for k, l, _ in entries) + p)).tolist()
+    log_eta = math.log(eta)
+    for k, l, a in entries:
+        d, m = abs(l - k), min(k, l)
         for j in range(p):
-            w[k + j] += (
-                a * (-1) ** k * math.exp(specfun.log_binomial(k + j, k) - (k + 1) * math.log(eta))
+            q = m + j
+            weights[l - k][q] += a * (-1) ** m * math.exp(
+                0.5 * ((lf[k + j] - lf[k] - lf[j]) + (lf[l + j] - lf[l] - lf[j]))
+                + 0.5 * (lf[q] - lf[q + d])
+                - (1 + m + d / 2) * log_eta
             )
-    return w
+    return weights
 
 
-def _radial_eval(weights: np.ndarray, eta: float, x) -> np.ndarray:
-    """e^{-(1-eta) x} sum_m weights[m] L_m(x)."""
-    return np.exp(-(1.0 - eta) * x) * lag.lagval(x, weights)
+def _operator_weights(a: TargetOperator, p: int, eta: float) -> dict:
+    return _series_weights([(k, l, a.matrix[k, l]) for k, l in a.support_indices()], p, eta)
+
+
+def _diag_series(entries, p: int, eta: float) -> np.ndarray:
+    """W_0 of sum_k a_k g_{k,k}^{(p)} over entries (k, a)."""
+    return _series_weights([(k, k, a) for k, a in entries], p, eta)[0]
+
+
+def _laguerre_series(x, c: np.ndarray, alpha: int):
+    """sum_q c[q] L_q^{(alpha)}(x): lagval's Clenshaw loop, alpha added to its three terms."""
+    c = c.reshape(c.shape + (1,) * np.ndim(x))
+    nd = len(c)
+    c0, c1 = (c[-2], c[-1]) if nd > 1 else (c[0], 0)
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd = nd - 1
+        c0 = c[-i] - (c1 * (nd - 1 + alpha)) / nd
+        c1 = tmp + (c1 * ((2 * nd - 1 + alpha) - x)) / nd
+    return c0 + c1 * (1 + alpha - x)
+
+
+def _series_eval(weights: dict, eta: float, x, w=None):
+    """e^{-(1-eta) x} sum_d phi_d(w) sum_q W_{d,q} L_q^{(|d|)}(x); w only read for d != 0."""
+    total = None
+    for d, wd in weights.items():
+        term = _laguerre_series(x, wd, abs(d))
+        if d:
+            term = term * (w**d if d > 0 else np.conj(w) ** -d)
+        total = term if total is None else total + term
+    return np.exp(-(1.0 - eta) * x) * total
+
+
+def _kernel_at(weights: dict, eta: float, z):
+    z = np.asarray(z, dtype=complex)
+    return _series_eval(weights, eta, np.abs(z) ** 2 / eta, z / math.sqrt(eta))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -218,7 +244,7 @@ def _radial_range(weights: np.ndarray, eta: float) -> float:
     dw = -c * weights
     dw[:-1] += lag.lagder(weights)
     xs = np.concatenate(([0.0], np.maximum(lag.lagroots(dw).real, 0.0)))
-    vals = _radial_eval(weights, eta, xs)
+    vals = _series_eval({0: weights}, eta, xs)
     return max(float(vals.max()), 0.0) - min(float(vals.min()), 0.0)
 
 
@@ -250,10 +276,10 @@ def kernel_range(n_or_operator, p: int, eta: float) -> float:
     _check_eta(eta)
     if isinstance(n_or_operator, (int, np.integer)):
         n = int(n_or_operator)
-        w = _diag_weights([(n, 1.0)], p, eta) * eta ** (n + 1)
+        w = _diag_series([(n, 1.0)], p, eta) * eta ** (n + 1)
         return _radial_range(w, eta)
     entries = _diagonal_entries_checked(n_or_operator)
-    return _radial_range(_diag_weights(entries, p, eta), eta)
+    return _radial_range(_diag_series(entries, p, eta), eta)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +384,8 @@ def kernel_values(batch_samples: np.ndarray, config: EstimatorConfig) -> np.ndar
     z = np.asarray(batch_samples, dtype=complex)
     if config.is_diagonal:
         w, offset = radial_kernel(config)
-        return _radial_eval(w, config.eta, np.abs(z) ** 2 / config.eta) + offset
-    return _operator_g(config.target, config.p, z, config.eta)
+        return _series_eval({0: w}, config.eta, np.abs(z) ** 2 / config.eta) + offset
+    return _kernel_at(_operator_weights(config.target, config.p, config.eta), config.eta, z)
 
 
 def radial_kernel(config: EstimatorConfig):
@@ -372,7 +398,7 @@ def radial_kernel(config: EstimatorConfig):
     offset = 0.5 * (-1) ** config.p * sum(
         a * _bias_full(k, config.p, config.eta) for k, a in entries
     )
-    return _diag_weights(entries, config.p, config.eta), offset
+    return _diag_series(entries, config.p, config.eta), offset
 
 
 def _chunked_mean(values: np.ndarray):

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import eval_genlaguerre, gammaln
 
 from stellarq.fockspace import GaussianUnitaryParams, TruncatedState, coherent_row
 
@@ -33,6 +34,41 @@ def laguerre_direct(n: int, x: float) -> float:
     return float(
         sum((-1) ** i / math.factorial(i) * math.comb(n, i) * x**i for i in range(n + 1))
     )
+
+
+def kernel_g_scipy(k: int, l: int, p: int, z, eta: float) -> np.ndarray:
+    """g_{k,l}^{(p)}(z, eta) over an array z, term by term in the shift j.
+
+    Each f_{k+j,l+j} takes its Laguerre 2D polynomial from the reduction
+    L2D_{K,L}(w) = (-1)^q sqrt(q!/(q+d)!) phi(w) L_q^{(d)}(|w|^2), q = min(K, L),
+    d = |L - K|, phi = w^d (K <= L) or conj(w)^d, with scipy's
+    eval_genlaguerre for the associated Laguerre polynomial.
+    """
+    z = np.asarray(z, dtype=complex)
+    w = z / math.sqrt(eta)
+    x = np.abs(w) ** 2
+    total = np.zeros(z.shape, dtype=complex)
+    for j in range(p):
+        kk, ll = k + j, l + j
+        q, d = min(kk, ll), abs(ll - kk)
+        phi = w**d if kk <= ll else np.conj(w) ** d
+        l2d = (-1) ** q * math.exp(0.5 * (gammaln(q + 1) - gammaln(q + d + 1))) * phi * eval_genlaguerre(q, d, x)
+        coeff = (-1) ** j * math.exp(
+            j * math.log(eta)
+            + 0.5 * (math.log(math.comb(kk, k)) + math.log(math.comb(ll, l)))
+            - (1.0 + (kk + ll) / 2.0) * math.log(eta)
+        )
+        total += coeff * l2d
+    return total * np.exp((1.0 - 1.0 / eta) * np.abs(z) ** 2)
+
+
+def operator_g_scipy(target, p: int, z, eta: float) -> np.ndarray:
+    """g_A^{(p)} over an array z: kernel_g_scipy summed over the support of A."""
+    z = np.asarray(z, dtype=complex)
+    total = np.zeros(z.shape, dtype=complex)
+    for k, l in target.support_indices():
+        total += target.matrix[k, l] * kernel_g_scipy(k, l, p, z, eta)
+    return total
 
 
 def gaussian_block_expm(n_rows: int, m_cols: int, g: GaussianUnitaryParams, dim: int = 120):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stellarq import cli, dhd, fockspace as fs, negativity
+from stellarq import cli, dhd, estimator, fockspace as fs, negativity
 from stellarq.cli import main
 
 
@@ -126,6 +126,43 @@ def test_estimate_witness_wrapper(tmp_path):
     assert rep["negativity_certified"] is True
     assert rep["omega_lower_bound"] > 0.5
     assert rep["alpha"] == [0.0, 0.0]
+
+
+def test_estimate_core_target_clt(tmp_path):
+    # a non-diagonal JSON core target: the projector on (|0> + |1>) / sqrt(2)
+    state = tmp_path / "core.json"
+    assert run(tmp_path, "state", "--spec", '{"core":{"coeffs":[1,1],"dim":8}}', "--out", state) == 0
+    samples = tmp_path / "s.csv"
+    assert run(tmp_path, "sample", "--state", state, "--n", 100000, "--seed", 13, "--out", samples) == 0
+    report = tmp_path / "rep.json"
+    rc = run(tmp_path, "estimate", "--samples", samples, "--target", '{"coeffs":[1,1]}',
+             "--epsilon", 0.3, "--method", "clt", "--p", 2, "--eta", 0.3, "--delta", "none",
+             "--out", report)
+    assert rc == 0
+    rep = json.loads(report.read_text())
+    # the report carries no sigma_hat; the library gives it from the same samples
+    target = fs.TargetOperator.core_projector(fs.CoreState.from_unnormalized([1, 1]))
+    res = estimator.estimate(dhd.load_csv(samples), estimator.EstimatorConfig(target, 2, 0.3, 0.3, None, "clt"))
+    assert rep["value"] == [res.value.real, res.value.imag]
+    assert abs(rep["value"][0] - 1.0) < 6 * res.sigma_hat / math.sqrt(rep["N"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["optimize-params", "--n", "10000", "--epsilon", "0.2", "--out", "{out}"],
+                     id="optimize-params-n-10000"),
+        pytest.param(["state", "--spec", '{"core":{"coeffs":[1],"r":0.1,"beta":[50,0],"dim":8}}',
+                      "--out", "{out}"], id="state-beta-50"),
+    ],
+)
+def test_log_factorial_table_limit_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main([str(out) if a == "{out}" else a for a in argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "domain-error"
+    assert err["limit"] == 10_000
+    assert not out.exists()
 
 
 def test_optimize_params_row(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import eval_genlaguerre
 
 from stellarq import dhd, estimator as est, fockspace as fs
 from stellarq.negativity import witness_operator
@@ -13,7 +14,13 @@ from stellarq.errors import (
     UnsupportedTargetError,
 )
 
-from _oracles import quadrature_q_expectation
+from _oracles import (
+    kernel_g_scipy,
+    laguerre2d_direct,
+    laguerre_direct,
+    operator_g_scipy,
+    quadrature_q_expectation,
+)
 
 
 def test_kernel_f_closed_cases():
@@ -28,6 +35,127 @@ def test_kernel_f_closed_cases():
         assert est.kernel_f(k, k + 1, 0j, eta) == 0
     with pytest.raises(DomainError):
         est.kernel_f(0, 0, z, 1.2)
+
+
+def _l2d_from_kernel_f(k, l, w, eta):
+    """L2D_{k,l}(w) read back off f_{k,l}(w sqrt(eta), eta)."""
+    pref = eta ** (1.0 + (k + l) / 2.0) * math.exp((1.0 - eta) * abs(w) ** 2)
+    return est.kernel_f(k, l, w * math.sqrt(eta), eta) * pref
+
+
+def test_kernel_f_laguerre2d_base_cases():
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        w = complex(*rng.normal(size=2))
+        assert _l2d_from_kernel_f(0, 0, w, 0.4) == pytest.approx(1.0)
+        assert _l2d_from_kernel_f(1, 1, w, 0.4) == pytest.approx(abs(w) ** 2 - 1.0)
+        assert _l2d_from_kernel_f(2, 0, w, 0.4) == pytest.approx(np.conj(w) ** 2 / math.sqrt(2))
+
+
+def test_kernel_g_matches_direct_sum():
+    # the defining double-factorial sum of L2D, shift by shift
+    rng = np.random.default_rng(1)
+    for _ in range(100):
+        k, l = (int(t) for t in rng.integers(0, 13, size=2))
+        p = int(rng.integers(1, 4))
+        eta = float(rng.uniform(0.1, 0.9))
+        w = complex(*rng.uniform(-20, 20, size=2))
+        if abs(w) > 20:
+            w *= 20 / abs(w)
+        want = sum(
+            (-1) ** j * eta**j * math.sqrt(math.comb(k + j, k) * math.comb(l + j, l))
+            * laguerre2d_direct(k + j, l + j, w) / eta ** (1.0 + (k + l + 2 * j) / 2.0)
+            for j in range(p)
+        )
+        got = est.kernel_g(k, l, p, w * math.sqrt(eta), eta) * math.exp((1.0 - eta) * abs(w) ** 2)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def test_kernel_g_conjugate_symmetry():
+    # swapping the indices conjugates the value; swapping indices and
+    # conjugating the argument leaves it unchanged
+    rng = np.random.default_rng(2)
+    for _ in range(100):
+        k, l = (int(t) for t in rng.integers(0, 13, size=2))
+        p, eta = int(rng.integers(1, 4)), float(rng.uniform(0.1, 0.9))
+        z = complex(*rng.normal(size=2)) * 2
+        v = est.kernel_g(k, l, p, z, eta)
+        tol = 1e-12 * max(abs(v), 1.0)
+        assert est.kernel_g(l, k, p, z, eta) == pytest.approx(np.conj(v), rel=1e-12, abs=tol)
+        assert est.kernel_g(l, k, p, np.conj(z), eta) == pytest.approx(v, rel=1e-12, abs=tol)
+
+
+def test_kernel_g_diagonal_is_radial():
+    # on the diagonal L2D_{n,n}(w) = (-1)^n L_n(|w|^2), from the explicit sum
+    rng = np.random.default_rng(3)
+    for n in range(7):
+        for _ in range(10):
+            w = complex(*rng.normal(size=2)) * 2
+            v = _l2d_from_kernel_f(n, n, w, 0.3)
+            assert v.imag == pytest.approx(0.0, abs=1e-10)
+            assert v.real == pytest.approx(
+                (-1) ** n * laguerre_direct(n, abs(w) ** 2), rel=1e-9, abs=1e-9
+            )
+            z = w * math.sqrt(0.3)
+            assert est.kernel_g(n, n, 3, z * np.exp(0.71j), 0.3) == pytest.approx(
+                est.kernel_g(n, n, 3, z, 0.3), rel=1e-10, abs=1e-10
+            )
+
+
+def test_kernel_g_no_overflow_at_large_argument():
+    # degree-65 series far out, where the Gaussian factor underflows to 0
+    for k, l in ((64, 64), (0, 64), (80, 3)):
+        for z in (40.0 + 0j, 45.0 * np.exp(0.3j), 50j):
+            assert est.kernel_g(k, l, 2, z, 0.5) == 0
+
+
+def test_kernel_g_high_index_matches_scipy():
+    # k, l up to 55 against scipy's associated Laguerre polynomials,
+    # relative to the largest value over the kernel's support
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        k, l = (int(t) for t in rng.integers(0, 56, size=2))
+        p, eta = int(rng.integers(1, 5)), float(rng.uniform(0.05, 0.95))
+        x = rng.uniform(0.0, 4.0 * (max(k, l) + p) / (1.0 - eta) + 20.0, size=60)
+        z = np.sqrt(eta * x) * np.exp(2j * np.pi * rng.random(60))
+        want = kernel_g_scipy(k, l, p, z, eta)
+        got = np.array([est.kernel_g(k, l, p, t, eta) for t in z])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_kernel_g_negative_index_raises():
+    with pytest.raises(DomainError):
+        est.kernel_g(-1, 0, 1, 0.3j, 0.3)
+    with pytest.raises(DomainError):
+        est.kernel_g(0, -1, 2, 0.3j, 0.3)
+
+
+def test_laguerre_series():
+    # alpha = 0 is numpy's lagval to the bit; alpha > 0 matches scipy
+    rng = np.random.default_rng(5)
+    xs = np.linspace(0.0, 40.0, 81)
+    for n in range(1, 14):
+        c = rng.normal(size=n)
+        assert est._laguerre_series(xs, c, 0).tobytes() == np.polynomial.laguerre.lagval(xs, c).tobytes()
+        for alpha in (1, 4):
+            want = sum(c[q] * eval_genlaguerre(q, alpha, xs) for q in range(n))
+            np.testing.assert_allclose(est._laguerre_series(xs, c, alpha), want,
+                                       rtol=1e-10, atol=1e-10 * np.max(np.abs(want)))
+    assert est._laguerre_series(xs, np.ones(1), 3).tolist() == [1.0] * xs.size
+
+
+def test_kernel_values_match_pointwise():
+    # one pass over a 2-D batch gives the scalar kernel at every sample
+    rng = np.random.default_rng(6)
+    z = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+    core = fs.CoreState.from_unnormalized([1.0, 0.5j, -0.3])
+    target = fs.TargetOperator.core_projector(core)
+    cfg = est.EstimatorConfig(target, 3, 0.3, 0.5, None, "clt")
+    got = est.kernel_values(z, cfg)
+    assert got.shape == z.shape
+    want = [est.kernel_g_operator(target, 3, complex(t), 0.3) for t in z.ravel()]
+    np.testing.assert_allclose(got.ravel(), want, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(got, operator_g_scipy(target, 3, z, 0.3), rtol=1e-12, atol=1e-12)
 
 
 def test_kernel_f_bounded():
@@ -112,9 +240,9 @@ def test_kernel_h_vacuum_expectation():
 
 def _scan_range(target, p, eta, x_end, n_points, scale=1.0):
     """Brute-scan range (0 included) of scale * g_A^{(p)} along the real
-    axis, x = |z|^2 / eta in [0, x_end], through the Laguerre-2D path."""
+    axis, x = |z|^2 / eta in [0, x_end], through the scipy oracle."""
     xs = np.linspace(0.0, x_end, n_points)
-    vals = scale * est._operator_g(target, p, np.sqrt(eta * xs) + 0j, eta).real
+    vals = scale * operator_g_scipy(target, p, np.sqrt(eta * xs) + 0j, eta).real
     return max(vals.max(), 0.0) - min(vals.min(), 0.0)
 
 

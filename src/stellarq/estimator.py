@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import laguerre as lag
 from scipy.special import erf, erfinv
 
 from . import specfun
@@ -175,8 +174,9 @@ def _diag_series(entries, p: int, eta: float) -> np.ndarray:
 
 
 def _laguerre_series(x, c: np.ndarray, alpha: int):
-    """sum_q c[q] L_q^{(alpha)}(x): lagval's Clenshaw loop, alpha added to its three terms."""
-    c = c.reshape(c.shape + (1,) * np.ndim(x))
+    """sum_q c[..., q] L_q^{(alpha)}(x) by lagval's Clenshaw loop, alpha added to its three terms;
+    each row of a 2-D c is one series, summed at the matching row of x."""
+    c = c.T.reshape(c.shape[::-1] + (1,) * (np.ndim(x) + 1 - c.ndim))
     nd = len(c)
     c0, c1 = (c[-2], c[-1]) if nd > 1 else (c[0], 0)
     for i in range(3, len(c) + 1):
@@ -195,7 +195,10 @@ def _series_eval(weights: dict, eta: float, x, w=None):
         if d:
             term = term * (w**d if d > 0 else np.conj(w) ** -d)
         total = term if total is None else total + term
-    return np.exp(-(1.0 - eta) * x) * total
+    total, gauss = np.asarray(total), np.exp(-(1.0 - eta) * x)
+    total *= gauss  # in place: a pass over N samples holds no extra N-array
+    np.copyto(total, 0, where=gauss == 0)  # far out a high-degree series overflows there
+    return total
 
 
 def _kernel_at(weights: dict, eta: float, z):
@@ -229,23 +232,31 @@ def _golden_max(f, a: float, b: float):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def _radial_range(weights: np.ndarray, eta: float) -> float:
-    """Range of f(x) = e^{-c x} sum_m w_m L_m(x), c = 1 - eta, over x >= 0.
+def _radial_range(weights: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Range of f(x) = e^{-c x} sum_m w_m L_m(x), c = 1 - eta, over x >= 0, per row (w, eta).
 
     The closure includes the x -> inf limit 0.  Since
     f'(x) = e^{-c x} (P'(x) - c P(x)) with P = sum_m w_m L_m, every
     interior extremum is a real root of the same-degree Laguerre series
-    lagder(w) - c w.  f is evaluated at x = 0 and at max(Re r, 0) for
-    every root r: no real critical point is missed, and every node lies
-    in the domain, so none can widen the range.  The result is exact up
-    to the rounding of the computed roots.
+    lagder(w) - c w: an eigenvalue of the rotated companion matrix of
+    numpy's lagroots, all rows in one stacked eigvals call.  f is evaluated
+    at x = 0 and at max(Re r, 0) for every root r: no real critical point
+    is missed, and every node lies in the domain, so none can widen the
+    range.  The result is exact up to the rounding of the computed roots.
     """
-    c = 1.0 - eta
+    c = (1.0 - eta)[:, None]
     dw = -c * weights
-    dw[:-1] += lag.lagder(weights)
-    xs = np.concatenate(([0.0], np.maximum(lag.lagroots(dw).real, 0.0)))
-    vals = _series_eval({0: weights}, eta, xs)
-    return max(float(vals.max()), 0.0) - min(float(vals.min()), 0.0)
+    dw[:, :-1] -= np.cumsum(weights[:, :0:-1], axis=1)[:, ::-1]  # lagder's running sums
+    deg = dw.shape[1] - 1
+    roots = 1 + dw[:, :1] / dw[:, 1:] if deg == 1 else np.empty((len(dw), 0))
+    if deg > 1:
+        off = np.diag(np.arange(1.0, deg), 1)
+        comp = np.tile(np.diag(2.0 * np.arange(deg) + 1.0) - off - off.T, (len(dw), 1, 1))
+        comp[:, :, -1] += dw[:, :-1] / dw[:, -1:] * deg
+        roots = np.sort(np.linalg.eigvals(comp[:, ::-1, ::-1]), axis=1)
+    xs = np.concatenate((np.zeros((len(dw), 1)), np.maximum(roots.real, 0.0)), axis=1)
+    vals = _series_eval({0: weights}, eta[:, None], xs)
+    return np.maximum(vals.max(axis=1), 0.0) - np.minimum(vals.min(axis=1), 0.0)
 
 
 def _diagonal_entries_checked(target: TargetOperator):
@@ -277,9 +288,9 @@ def kernel_range(n_or_operator, p: int, eta: float) -> float:
     if isinstance(n_or_operator, (int, np.integer)):
         n = int(n_or_operator)
         w = _diag_series([(n, 1.0)], p, eta) * eta ** (n + 1)
-        return _radial_range(w, eta)
-    entries = _diagonal_entries_checked(n_or_operator)
-    return _radial_range(_diag_series(entries, p, eta), eta)
+    else:
+        w = _diag_series(_diagonal_entries_checked(n_or_operator), p, eta)
+    return float(_radial_range(w[None], np.array([eta]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +383,7 @@ class ConfidenceEstimate:
             "bias_bound": self.bias_bound,
             "lambda": self.lam,
             "kernel_range": self.kernel_range,
-        }
+        } | ({"sigma_hat": self.sigma_hat} if self.method == CLT else {})  # what a CLT interval rests on
 
 
 def kernel_values(batch_samples: np.ndarray, config: EstimatorConfig) -> np.ndarray:
@@ -583,13 +594,17 @@ class OptimizeResult:
         }
 
 
-def _objective(n: int, p: int, eta: float, epsilon: float) -> float:
-    """lambda * eta^{n+1} / R_n^{(p)}; required N is proportional to J^-2."""
-    lam = epsilon - bias_bound(n, p, eta)
-    if lam <= 0:
-        return 0.0
-    r = kernel_range(n, p, eta)
-    return lam * eta ** (n + 1) / r
+def _objective(n: int, p: int, etas, epsilon: float) -> np.ndarray:
+    """J = lambda * eta^{n+1} / R_n^{(p)} at each eta, 0 where lambda <= 0;
+    required N is proportional to J^-2.  One stacked range solve serves all etas."""
+    etas = np.atleast_1d(etas)
+    lam = np.array([epsilon - bias_bound(n, p, e) for e in etas])
+    scale = np.array([e ** (n + 1) for e in etas])
+    js, ok = np.zeros(etas.size), lam > 0
+    if ok.any():
+        w = np.array([_diag_series([(n, 1.0)], p, e) * s for e, s in zip(etas[ok], scale[ok])])
+        js[ok] = lam[ok] * scale[ok] / _radial_range(w, etas[ok])
+    return js
 
 
 def optimize_params(
@@ -615,13 +630,13 @@ def optimize_params(
     etas = np.exp(np.linspace(math.log(1e-3), math.log(1.0 - 1e-3), eta_grid_size))
     per_p = []
     for p in range(1, p_max + 1):
-        js = np.array([_objective(n, p, e, epsilon) for e in etas])
+        js = _objective(n, p, etas, epsilon)
         i = int(np.argmax(js))
         if js[i] <= 0:
             per_p.append((p, None, 0.0))
             continue
         eta_p, j_p = _golden_max(
-            lambda e: _objective(n, p, e, epsilon),
+            lambda e: float(_objective(n, p, e, epsilon)[0]),
             etas[max(i - 1, 0)], etas[min(i + 1, etas.size - 1)],
         )
         if j_p < js[i]:

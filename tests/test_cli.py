@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stellarq import cli, dhd, estimator, fockspace as fs, negativity
+from stellarq import cli, fockspace as fs, negativity
 from stellarq.cli import main
 
 
@@ -140,11 +140,10 @@ def test_estimate_core_target_clt(tmp_path):
              "--out", report)
     assert rc == 0
     rep = json.loads(report.read_text())
-    # the report carries no sigma_hat; the library gives it from the same samples
-    target = fs.TargetOperator.core_projector(fs.CoreState.from_unnormalized([1, 1]))
-    res = estimator.estimate(dhd.load_csv(samples), estimator.EstimatorConfig(target, 2, 0.3, 0.3, None, "clt"))
-    assert rep["value"] == [res.value.real, res.value.imag]
-    assert abs(rep["value"][0] - 1.0) < 6 * res.sigma_hat / math.sqrt(rep["N"])
+    # the CLT report carries the sigma_hat its confidence rests on
+    sigma = rep["sigma_hat"]
+    assert rep["confidence"] == pytest.approx(math.erf(rep["lambda"] * math.sqrt(rep["N"] / (2 * sigma**2))))
+    assert abs(rep["value"][0] - 1.0) < 6 * sigma / math.sqrt(rep["N"])
 
 
 @pytest.mark.parametrize(

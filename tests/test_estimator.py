@@ -103,9 +103,10 @@ def test_kernel_g_diagonal_is_radial():
 
 
 def test_kernel_g_no_overflow_at_large_argument():
-    # degree-65 series far out, where the Gaussian factor underflows to 0
+    # degree-65 series far out, where the Gaussian factor underflows to 0;
+    # at |z| = 1e3 the series itself overflows to inf
     for k, l in ((64, 64), (0, 64), (80, 3)):
-        for z in (40.0 + 0j, 45.0 * np.exp(0.3j), 50j):
+        for z in (40.0 + 0j, 45.0 * np.exp(0.3j), 50j, 1e3 + 0j, 1e3 * np.exp(0.3j), 1e3j):
             assert est.kernel_g(k, l, 2, z, 0.5) == 0
 
 
@@ -410,6 +411,10 @@ def test_estimate_reports_invariant():
     for key in ("value", "half_width", "confidence", "N", "method", "p",
                 "eta", "p_n", "bias_bound", "lambda", "kernel_range"):
         assert key in d
+    # only a CLT report carries sigma_hat, so Hoeffding reports keep their bytes
+    assert "sigma_hat" not in d
+    clt = est.estimate(b, est.EstimatorConfig(cfg.target, 2, 0.24, 0.3, None, "clt"))
+    assert clt.to_report_dict()["sigma_hat"] == clt.sigma_hat > 0
 
 
 def test_vacuum_estimation_flow_at_table_budget():
@@ -424,6 +429,45 @@ def test_vacuum_estimation_flow_at_table_budget():
     assert abs(res.value - 1.0) <= 0.1
     assert res.confidence == pytest.approx(0.95)
     assert res.half_width == pytest.approx(0.1)
+
+
+def _range_by_lagroots(w, eta):
+    """One kernel's range through numpy's lagder and lagroots, root by root."""
+    lag = np.polynomial.laguerre
+    dw = -(1.0 - eta) * w
+    dw[:-1] += lag.lagder(w)
+    xs = np.concatenate(([0.0], np.maximum(lag.lagroots(dw).real, 0.0)))
+    vals = est._series_eval({0: w}, eta, xs)
+    return max(float(vals.max()), 0.0) - min(float(vals.min()), 0.0)
+
+
+def test_radial_range_stack_matches_lagroots():
+    # the stacked companion-matrix solve over optimize_params' eta grid gives
+    # the ranges of numpy's per-kernel root solve bit for bit
+    etas = np.exp(np.linspace(math.log(1e-3), math.log(1.0 - 1e-3), 200))
+    for n in range(6):
+        for p in range(1, 9):
+            w = np.array([est._diag_series([(n, 1.0)], p, e) * e ** (n + 1) for e in etas])
+            want = np.array([_range_by_lagroots(row.copy(), e) for row, e in zip(w, etas)])
+            assert est._radial_range(w, etas).tobytes() == want.tobytes()
+            assert [est.kernel_range(n, p, e) for e in etas[::20]] == want[::20].tolist()
+
+
+@pytest.mark.parametrize(
+    "args, report",
+    [
+        ((1, 0.2, 0.05), {"N": 581429, "p": 2, "eta": 0.2555244637596246, "p_n": 2,
+                          "kernel_range": 3.74145110040748}),
+        ((2, 0.3, 0.05), {"N": 15937808, "p": 2, "eta": 0.2439609838876848, "p_n": 2,
+                          "kernel_range": 5.18367223775508}),
+        ((3, 0.1, 0.01), {"N": 511563022135, "p": 4, "eta": 0.20861676040048752, "p_n": 5,
+                          "kernel_range": 46.39775566419402}),
+    ],
+)
+def test_optimize_params_reports_pinned(args, report):
+    # pinned to the last bit: the eta grid and its range solve must not move them
+    n, epsilon, delta = args
+    assert est.optimize_params(*args).to_report_dict() == dict(report, epsilon=epsilon, delta=delta)
 
 
 def test_optimize_params_table_rows():

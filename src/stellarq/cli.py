@@ -8,18 +8,17 @@ print a JSON object with a machine-readable code to stderr; the exit
 status is 0 on success, 64 for a malformed command line or input, and 2
 for any other library error.
 
-The environment variable STELLARQ_WORKERS sets the default worker count
-for sampling.
+A complex pair whose real part is negative must be joined to its flag
+with ``=``, as in ``--zeta=-0.3,0``: argparse reads a separate value
+that starts with ``-`` as an option.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import replace
@@ -255,11 +254,10 @@ def _explicit_params(args):
 
 
 def _workers(args) -> int:
-    """--workers, else STELLARQ_WORKERS, else 1; must be a positive integer."""
-    text = str(os.environ.get("STELLARQ_WORKERS", "1") if args.workers is None else args.workers)
-    if not text.isdecimal() or int(text) < 1:
-        raise UsageError(f"worker count must be a positive integer, got {text!r}")
-    return int(text)
+    """--workers, 1 by default; must be a positive integer."""
+    if args.workers < 1:
+        raise UsageError(f"worker count must be a positive integer, got {args.workers}")
+    return args.workers
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--zeta", help="unbalancing squeeze, re,im")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--zeta", help="unbalancing squeeze, re,im (negative: --zeta=-re,im)")
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
@@ -500,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", default="0.05", help="confidence parameter, or 'none'")
     p.add_argument("--method", choices=("hoeffding", "clt"), default="hoeffding")
-    p.add_argument("--translate", help="displacement to revert, re,im")
+    p.add_argument("--translate", help="displacement to revert, re,im (negative: --translate=-re,im)")
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--out", required=True)
@@ -532,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("hoeffding", "clt"), default="clt")
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_witness_scan)
     return ap

@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import xlogy
 
 from .errors import CutoffError, DomainError
 from .fockspace import GaussianUnitaryParams, TruncatedState, apply_gaussian

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import erf, erfinv
@@ -303,7 +304,13 @@ CLT = "clt"
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Target operator plus the free protocol parameters (p, eta, eps, delta)."""
+    """Target operator plus the free protocol parameters (p, eta, eps, delta).
+
+    The constants every interval of one config shares (diagonality, the
+    p_n thresholds and the bias bound) are computed once on construction,
+    and the Hoeffding kernel range once on first use; `dataclasses.replace`
+    recomputes them, and equality ignores them.
+    """
 
     target: TargetOperator
     p: int
@@ -311,6 +318,9 @@ class EstimatorConfig:
     epsilon: float
     delta: float | None = 0.05
     bound_method: str = HOEFFDING
+    is_diagonal: bool = field(init=False, repr=False, compare=False)
+    _p_n: dict = field(init=False, repr=False, compare=False)
+    _bias: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_eta(self.eta, self.p)
@@ -320,32 +330,32 @@ class EstimatorConfig:
             raise DomainError("delta must lie in (0, 1)")
         if self.bound_method not in (HOEFFDING, CLT):
             raise DomainError(f"unknown bound method {self.bound_method!r}")
-        self.pn_by_index()  # the p_n condition must hold for every diagonal index
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.target.is_diagonal
+        entries, p, eta = self.target.diagonal_entries(), self.p, self.eta
+        # the p_n condition must hold for every diagonal index
+        object.__setattr__(self, "_p_n", {k: pn_threshold(k, p, eta) for k, _ in entries})
+        object.__setattr__(self, "_bias", sum(abs(a) * bias_bound(k, p, eta) for k, a in entries))
+        object.__setattr__(self, "is_diagonal", self.target.is_diagonal)
 
     def pn_by_index(self) -> dict:
-        return {
-            k: pn_threshold(k, self.p, self.eta)
-            for k, _ in self.target.diagonal_entries()
-        }
+        return dict(self._p_n)
 
     def bias(self) -> float:
         """Half-width bias bound: weighted sum over diagonal support.
 
-        For targets with off-diagonal support only the diagonal part is
-        covered by the analytic bound; such targets are restricted to the
-        CLT method and flagged non-analytic.
+        For a target with off-diagonal support it covers the diagonal part
+        only: the bias of the off-diagonal kernels is not budgeted, so such
+        targets are restricted to the CLT method, whose interval can then
+        miss Tr(A rho) even at a reported confidence of 1.0000.
         """
-        return sum(
-            abs(a) * bias_bound(k, self.p, self.eta)
-            for k, a in self.target.diagonal_entries()
-        )
+        return self._bias
 
     def lam(self) -> float:
         return self.epsilon - self.bias()
+
+    @cached_property
+    def hoeffding_range(self) -> float:
+        """Raw kernel range of a diagonal target; raises for any other."""
+        return kernel_range(self.target, self.p, self.eta)
 
 
 @dataclass(frozen=True)
@@ -442,25 +452,18 @@ def _hoeffding_n(delta: float, r: float, lam: float) -> float:
     return math.log(2.0 / delta) * r * r / (2.0 * lam * lam)
 
 
-def _hoeffding_delta(n: int, r: float, lam: float) -> float:
-    """Hoeffding failure probability 2 exp(-2 N lam^2 / r^2), capped at 1."""
-    return min(1.0, 2.0 * math.exp(-2.0 * n * lam * lam / (r * r)))
-
-
 def required_samples(config: EstimatorConfig) -> int:
     """Samples needed so the Hoeffding failure probability is <= delta."""
     if config.delta is None:
         raise DomainError("required_samples needs a target delta")
     lam = _lambda(config.epsilon, config.bias())
-    r = kernel_range(config.target, config.p, config.eta)
-    return int(math.ceil(_hoeffding_n(config.delta, r, lam)))
+    return int(math.ceil(_hoeffding_n(config.delta, config.hoeffding_range, lam)))
 
 
 def achieved_delta(config: EstimatorConfig, n_samples: int) -> float:
-    """Hoeffding failure probability at the given sample count."""
-    lam = _lambda(config.epsilon, config.bias())
-    r = kernel_range(config.target, config.p, config.eta)
-    return _hoeffding_delta(n_samples, r, lam)
+    """Hoeffding failure probability 2 exp(-2 N lam^2 / r^2) at N = n_samples, capped at 1."""
+    lam, r = _lambda(config.epsilon, config.bias()), config.hoeffding_range
+    return min(1.0, 2.0 * math.exp(-2.0 * n_samples * lam * lam / (r * r)))
 
 
 def clt_required_samples(sigma_hat: float, epsilon: float, delta: float, bias: float) -> int:
@@ -482,6 +485,9 @@ def estimate(batch, config: EstimatorConfig) -> ConfidenceEstimate:
     sigma_hat is the sample standard deviation of the kernel values;
     tighter but not analytic (the true variance is replaced by its
     estimate), and the only method available for non-diagonal targets.
+    For those, config.bias() covers the diagonal part only: the bias of
+    the off-diagonal kernels is not budgeted, so the interval can miss
+    Tr(A rho) even at a reported confidence of 1.0000.
     """
     if hasattr(batch, "effective_samples"):
         samples = batch.effective_samples()
@@ -502,43 +508,29 @@ def estimate(batch, config: EstimatorConfig) -> ConfidenceEstimate:
 
 
 def estimate_from_moments(
-    config: EstimatorConfig, n: int, mean, variance: float | None = None, known_range: float | None = None
+    config: EstimatorConfig, n: int, mean, variance: float | None = None
 ) -> ConfidenceEstimate:
     """The interval of `estimate` from the kernel's sample moments over n samples.
 
     ``variance`` is the (biased) sample variance of the kernel values,
-    which only the CLT method reads; ``known_range`` is the Hoeffding
-    kernel range when the caller has already computed it.
+    which only the CLT method reads.
     """
-    return _interval_from_moments(config, _interval_constants(config), n, mean, variance, known_range)
-
-
-def _interval_constants(config: EstimatorConfig) -> tuple:
-    """(bias, lam, p_n, is_diagonal): what every interval of one config shares."""
-    bias = config.bias()
-    return bias, _lambda(config.epsilon, bias), config.pn_by_index(), config.is_diagonal
-
-
-def _interval_from_moments(
-    config: EstimatorConfig, constants: tuple, n: int, mean, variance, known_range
-) -> ConfidenceEstimate:
-    bias, lam, p_n, diagonal = constants
+    lam = _lambda(config.epsilon, config.bias())
     common = dict(
         n_samples=int(n),
-        bias_bound=bias,
+        bias_bound=config.bias(),
         lam=lam,
         p=config.p,
         eta=config.eta,
-        p_n=dict(p_n),
+        p_n=config.pn_by_index(),
     )
     if config.bound_method == HOEFFDING:
-        if not diagonal:
+        if not config.is_diagonal:
             raise UnsupportedTargetError(
                 "Hoeffding bounds cover Fock-diagonal targets only; use the CLT method"
             )
-        r = kernel_range(config.target, config.p, config.eta) if known_range is None else known_range
         if config.delta is not None:
-            need = int(math.ceil(_hoeffding_n(config.delta, r, lam)))
+            need = required_samples(config)
             if n < need:
                 raise InsufficientSamplesError(
                     f"batch has {n} samples but (epsilon={config.epsilon}, "
@@ -547,16 +539,16 @@ def _interval_from_moments(
                 )
             delta = config.delta
         else:
-            delta = _hoeffding_delta(n, r, lam)
+            delta = achieved_delta(config, n)
         return ConfidenceEstimate(
             value=float(np.real(mean)),
             half_width=config.epsilon,
             confidence=1.0 - delta,
             method=HOEFFDING,
-            kernel_range=r,
+            kernel_range=config.hoeffding_range,
             **common,
         )
-    val = float(np.real(mean)) if diagonal else complex(mean)
+    val = float(np.real(mean)) if config.is_diagonal else complex(mean)
     sig2 = max(variance, 1e-300)
     delta_clt = 1.0 - float(erf(lam * math.sqrt(n / (2.0 * sig2))))
     return ConfidenceEstimate(
@@ -574,13 +566,16 @@ def _interval_from_moments(
 # ---------------------------------------------------------------------------
 
 
+OPTIMIZE_P_MAX = 8
+OPTIMIZE_ETA_GRID = np.exp(np.linspace(math.log(1e-3), math.log(1.0 - 1e-3), 200))
+
+
 @dataclass(frozen=True)
 class OptimizeResult:
     config: EstimatorConfig
     required_n: int
     p_n: int
     kernel_range: float
-    achieved_delta: float | None = None
 
     def to_report_dict(self) -> dict:
         return {
@@ -607,29 +602,20 @@ def _objective(n: int, p: int, etas, epsilon: float) -> np.ndarray:
     return js
 
 
-def optimize_params(
-    n: int,
-    epsilon: float,
-    delta: float,
-    n_samples_budget: int | None = None,
-    p_max: int = 8,
-    eta_grid_size: int = 200,
-) -> OptimizeResult:
+def optimize_params(n: int, epsilon: float, delta: float) -> OptimizeResult:
     """Free-parameter optimization for a target Fock state |n>.
 
-    For each p = 1..p_max the figure of merit J = lambda eta^{n+1} / R is
-    maximized over eta (log grid seed + golden-section refinement; the
-    p_n jumps make J piecewise smooth, so the grid isolates basins), then
-    the p minimizing the required N is selected, preferring the smaller p
-    when two agree within 1%.  Minimizing N at fixed (epsilon, delta) and
-    minimizing the failure probability at a fixed budget share the same
-    optimizer, so both modes return the same (p, eta).
+    For each p = 1..OPTIMIZE_P_MAX the figure of merit J = lambda eta^{n+1} / R
+    is maximized over eta (OPTIMIZE_ETA_GRID seed + golden-section refinement;
+    the p_n jumps make J piecewise smooth, so the grid isolates basins),
+    then the p minimizing the required N at (epsilon, delta) is selected,
+    preferring the smaller p when two agree within 1%.
     """
     if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
         raise DomainError("epsilon and delta must lie in (0, 1)")
-    etas = np.exp(np.linspace(math.log(1e-3), math.log(1.0 - 1e-3), eta_grid_size))
+    etas = OPTIMIZE_ETA_GRID
     per_p = []
-    for p in range(1, p_max + 1):
+    for p in range(1, OPTIMIZE_P_MAX + 1):
         js = _objective(n, p, etas, epsilon)
         i = int(np.argmax(js))
         if js[i] <= 0:
@@ -645,34 +631,27 @@ def optimize_params(
     feasible = [(p, e, j) for p, e, j in per_p if e is not None and j > 0]
     if not feasible:
         raise InfeasiblePrecisionError(
-            f"no (p, eta) with p <= {p_max} makes epsilon={epsilon} feasible "
+            f"no (p, eta) with p <= {OPTIMIZE_P_MAX} makes epsilon={epsilon} feasible "
             f"for target Fock {n}",
-            p_max=p_max,
+            p_max=OPTIMIZE_P_MAX,
         )
     # J = lambda / R_raw, so N(J) is the Hoeffding count at unit range
     ns = [(p, e, j, _hoeffding_n(delta, 1.0, j)) for p, e, j in feasible]
     n_min = min(v[3] for v in ns)
-    p_sel, eta_sel, j_sel, _ = min(
+    p_sel, eta_sel, _, _ = min(
         (v for v in ns if v[3] <= 1.01 * n_min), key=lambda v: v[0]
     )
-    target = TargetOperator.fock_projector(n)
     config = EstimatorConfig(
-        target=target,
+        target=TargetOperator.fock_projector(n),
         p=p_sel,
         eta=eta_sel,
         epsilon=epsilon,
         delta=delta,
         bound_method=HOEFFDING,
     )
-    r = kernel_range(n, p_sel, eta_sel)
-    req = required_samples(config)
-    ach = None
-    if n_samples_budget is not None:
-        ach = _hoeffding_delta(n_samples_budget, 1.0, j_sel)
     return OptimizeResult(
         config=config,
-        required_n=req,
+        required_n=required_samples(config),
         p_n=pn_threshold(n, p_sel, eta_sel),
-        kernel_range=r,
-        achieved_delta=ach,
+        kernel_range=kernel_range(n, p_sel, eta_sel),
     )

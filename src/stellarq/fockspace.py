@@ -225,18 +225,18 @@ class CoreState:
         u = gaussian_matrix(n_max, c.size, g)
         return u @ c
 
-    def to_state(self, dim: int, deficit_tol: float = DEFICIT_TOL) -> TruncatedState:
+    def to_state(self, dim: int) -> TruncatedState:
         v = self.fock_vector(dim)
         deficit = max(0.0, 1.0 - float(np.vdot(v, v).real))
-        if deficit > deficit_tol:
+        if deficit > DEFICIT_TOL:
             need = dim
             while need < _MAX_AUTO_DIM:
                 need *= 2
                 w = self.fock_vector(need)
-                if 1.0 - float(np.vdot(w, w).real) <= deficit_tol:
+                if 1.0 - float(np.vdot(w, w).real) <= DEFICIT_TOL:
                     break
             raise CutoffError(
-                f"core state truncation loses {deficit:.3e} > {deficit_tol:.1e}; "
+                f"core state truncation loses {deficit:.3e} > {DEFICIT_TOL:.1e}; "
                 f"try dim={need}",
                 suggested_dim=need,
             )
@@ -331,9 +331,7 @@ def make_thermal(nbar: float, dim: int) -> TruncatedState:
     return TruncatedState(np.diag(p.astype(complex)), trace_deficit=deficit)
 
 
-def make_squeezed_thermal(
-    r: float, theta: float, purity: float, dim: int, deficit_tol: float = DEFICIT_TOL
-) -> TruncatedState:
+def make_squeezed_thermal(r: float, theta: float, purity: float, dim: int) -> TruncatedState:
     """S(xi) rho_thermal S(xi)^dag with occupation nbar = (1/purity - 1)/2.
 
     The squeezed thermal family is the standard one-parameter impurity
@@ -345,22 +343,20 @@ def make_squeezed_thermal(
     nbar = (1.0 / purity - 1.0) / 2.0
     g = GaussianUnitaryParams(r, theta, 0j)
     work = max(2 * dim, 32)
-    while True:
+    th = make_thermal(nbar, work)
+    while th.trace_deficit > DEFICIT_TOL / 100 and work < _MAX_AUTO_DIM:
+        work *= 2
         th = make_thermal(nbar, work)
-        if th.trace_deficit > deficit_tol / 100 and work < _MAX_AUTO_DIM:
-            work *= 2
-            continue
-        big = apply_gaussian(th, g, out_dim=2 * work, deficit_tol=deficit_tol / 10)
-        break
+    big = apply_gaussian(th, g, out_dim=2 * work, deficit_tol=DEFICIT_TOL / 10)
     block = big.matrix[:dim, :dim]
     deficit = max(0.0, 1.0 - float(np.real(np.trace(block))))
-    if deficit > deficit_tol:
+    if deficit > DEFICIT_TOL:
         pops = np.real(np.diag(big.matrix))
         tail = 1.0 - np.cumsum(pops)
-        ok = np.nonzero(tail <= deficit_tol / 2)[0]
+        ok = np.nonzero(tail <= DEFICIT_TOL / 2)[0]
         need = int(ok[0]) + 1 if ok.size else 2 * big.dim
         raise CutoffError(
-            f"squeezed-thermal truncation loses {deficit:.3e} > {deficit_tol:.1e}; "
+            f"squeezed-thermal truncation loses {deficit:.3e} > {DEFICIT_TOL:.1e}; "
             f"try dim={need}",
             suggested_dim=need,
         )
@@ -527,17 +523,25 @@ def _squeeze_matrix_sectors(n_rows: int, m_cols: int, r: float, th: float, pad: 
     return out * np.exp(-0.5j * th * np.subtract.outer(np.arange(n_rows), np.arange(m_cols)))
 
 
-def _squeeze_matrix_padded(n_rows: int, m_cols: int, r: float, th: float) -> np.ndarray:
-    """The squeeze block on pads 64 * 1.5^k from max(n_rows, m_cols) + 48 on,
-    until two in a row agree to 1e-12 or the pad passes _MAX_AUTO_DIM."""
-    pad, cur = 64, None
+def _until_stable(block, size: int, grow):
+    """block(size) for size, grow(size), ... until two in a row agree to 1e-12
+    or the size reaches _MAX_AUTO_DIM; the last block."""
+    cur = None
     while True:
-        if pad >= max(n_rows, m_cols) + 48:
-            nxt = _squeeze_matrix_sectors(n_rows, m_cols, r, th, pad)
-            if pad >= _MAX_AUTO_DIM or cur is not None and np.max(np.abs(nxt - cur)) < 1e-12:
-                return nxt
-            cur = nxt
+        nxt = block(size)
+        if size >= _MAX_AUTO_DIM or cur is not None and np.max(np.abs(nxt - cur)) < 1e-12:
+            return nxt
+        cur, size = nxt, grow(size)
+
+
+def _squeeze_matrix_padded(n_rows: int, m_cols: int, r: float, th: float) -> np.ndarray:
+    """The squeeze block on pads 64 * 1.5^k from max(n_rows, m_cols) + 48 on, until stable."""
+    pad = 64
+    while pad < max(n_rows, m_cols) + 48:
         pad = int(1.5 * pad)
+    return _until_stable(
+        lambda k: _squeeze_matrix_sectors(n_rows, m_cols, r, th, k), pad, lambda k: int(1.5 * k)
+    )
 
 
 def _squeeze_block(n_rows: int, m_cols: int, r: float, th: float) -> np.ndarray:
@@ -584,15 +588,7 @@ def gaussian_matrix(n_rows: int, m_cols: int, g: GaussianUnitaryParams) -> np.nd
         def block(k):
             return _displacement_matrix(n_rows, k, gamma) @ _squeeze_block(k, m_cols, r, th)
 
-    cur = None
-    while True:
-        nxt = block(inner)
-        if cur is not None and np.max(np.abs(nxt - cur)) < 1e-12:
-            return nxt
-        if inner >= _MAX_AUTO_DIM:
-            return nxt
-        cur = nxt
-        inner = int(1.4 * inner) + 16
+    return _until_stable(block, inner, lambda k: int(1.4 * k) + 16)
 
 
 def gaussian_matrix_element(n: int, m: int, g: GaussianUnitaryParams) -> complex:

@@ -26,10 +26,8 @@ from .estimator import (
     CLT,
     ConfidenceEstimate,
     EstimatorConfig,
-    _interval_constants,
-    _interval_from_moments,
     estimate,
-    kernel_range,
+    estimate_from_moments,
     kernel_values,
     radial_kernel,
 )
@@ -199,8 +197,8 @@ def estimate_omega_grid(
     The witness kernel is radial, so the grid's sample sums come from
     chunked matrix products (see _grid_kernel_sums) instead of one pass
     over the batch per point; the intervals then come from the same
-    moments-to-interval step as the single-point path, with the config's
-    bias, p_n thresholds and diagonality computed once per scan.
+    estimate_from_moments as the single-point path, with the config's
+    bias, p_n thresholds, diagonality and kernel range computed once per scan.
     """
     re_axis = np.asarray(re_axis, dtype=float).ravel()
     im_axis = np.asarray(im_axis, dtype=float).ravel()
@@ -216,18 +214,11 @@ def estimate_omega_grid(
     sums = _grid_kernel_sums(samples, re_axis, im_axis, weights, cfg.eta, 2 if clt else 1)
     mean_f = sums[0] / n_samples
     var = np.maximum(sums[1] / n_samples - mean_f**2, 0.0) if clt else None
-    known_range = None if clt else kernel_range(cfg.target, cfg.p, cfg.eta)
-    constants = _interval_constants(cfg)
     results = []
     for a, re in enumerate(re_axis):
         for b, im in enumerate(im_axis):
-            res = _interval_from_moments(
-                cfg,
-                constants,
-                n_samples,
-                float(mean_f[a, b] + offset),
-                None if var is None else float(var[a, b]),
-                known_range,
+            res = estimate_from_moments(
+                cfg, n_samples, float(mean_f[a, b] + offset), None if var is None else float(var[a, b])
             )
             results.append(_witness_result(complex(re, im), n, res))
     return results
@@ -272,43 +263,42 @@ def scan_to_csv(results, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _radial_density(state: TruncatedState, n_radii: int = 1500):
+WITNESS_P_VALUES = (1, 2, 3, 4)
+WITNESS_ETA_GRID = np.arange(0.06, 0.46, 0.02)
+WITNESS_DELTA_TARGET = 0.04
+_RADIAL_NODES = 1500
+
+
+def _radial_density(state: TruncatedState):
     """Trapezoid nodes (s, weight) of the radial sample density of Q.
 
     The nodes span ten times sqrt(1 + <n> + 3 sqrt(Var(n) + 1)), which
     is beyond every radius the sampler draws with noticeable mass.
     """
     extent = 10.0 * math.sqrt(1.0 + state.mean_photon() + 3.0 * math.sqrt(state.var_photon() + 1.0))
-    s = np.linspace(0.0, extent, n_radii)
-    w = np.full(n_radii, s[1] - s[0])
+    s = np.linspace(0.0, extent, _RADIAL_NODES)
+    w = np.full(_RADIAL_NODES, s[1] - s[0])
     w[0] = w[-1] = 0.5 * (s[1] - s[0])
     return s, radial_density(state, s) * w
 
 
 def choose_witness_params(
-    state: TruncatedState,
-    n: int,
-    epsilon: float,
-    n_samples: int,
-    delta_target: float = 0.04,
-    p_values=(1, 2, 3, 4),
-    eta_grid=None,
+    state: TruncatedState, n: int, epsilon: float, n_samples: int
 ) -> EstimatorConfig:
     """Deterministic (p, eta) choice for a witness run at fixed (eps, N).
 
     Uses exact radial quadrature moments of the kernel under the known
-    simulated state (the witness kernel is radial): among parameter pairs
-    whose predicted CLT failure probability meets ``delta_target``, pick
-    the one with the largest predicted certification margin
-    (E[h] - (1/2 + eps)) / se.  No sample data enters the choice.
+    simulated state (the witness kernel is radial): among the pairs of
+    WITNESS_P_VALUES x WITNESS_ETA_GRID whose predicted CLT failure
+    probability meets WITNESS_DELTA_TARGET, pick the one with the largest
+    predicted certification margin (E[h] - (1/2 + eps)) / se.  No sample
+    data enters the choice.
     """
-    if eta_grid is None:
-        eta_grid = np.arange(0.06, 0.46, 0.02)
     op = witness_operator(n)
     s, wq = _radial_density(state)
     best = None
-    for p in p_values:
-        for eta in eta_grid:
+    for p in WITNESS_P_VALUES:
+        for eta in WITNESS_ETA_GRID:
             cfg = EstimatorConfig(op, p, float(eta), epsilon, delta=None, bound_method=CLT)
             lam = cfg.lam()
             if lam <= 0:
@@ -319,15 +309,15 @@ def choose_witness_params(
             var = max(e2 - e1 * e1, 1e-300)
             se = math.sqrt(var / n_samples)
             pred_delta = 1.0 - float(erf(lam / (math.sqrt(2.0) * se)))
-            if pred_delta > delta_target:
+            if pred_delta > WITNESS_DELTA_TARGET:
                 continue
             z_cert = (e1 - (0.5 + epsilon)) / se
             if best is None or z_cert > best[0]:
                 best = (z_cert, cfg)
     if best is None:
         raise InfeasiblePrecisionError(
-            f"no (p, eta) meets delta <= {delta_target} at epsilon={epsilon}, "
+            f"no (p, eta) meets delta <= {WITNESS_DELTA_TARGET} at epsilon={epsilon}, "
             f"N={n_samples} for this state",
-            delta_target=delta_target,
+            delta_target=WITNESS_DELTA_TARGET,
         )
     return best[1]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stellarq import cli, fockspace as fs, negativity
+from stellarq import cli, dhd, estimator as est, fockspace as fs, negativity
 from stellarq.cli import main
 
 
@@ -314,6 +314,30 @@ def test_malformed_input_exits_64(argv, cli_inputs, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "usage-error"
     assert not out.exists()
+
+
+def test_negative_pairs_take_the_equals_form(cli_inputs, tmp_path, capsys):
+    """--zeta=-re,im and --translate=-re,im parse; the space form reads as an option and exits 64."""
+    state = fs.TruncatedState.from_json_dict(json.loads(cli_inputs["state"].read_text()))
+    samples = tmp_path / "z.csv"
+    assert run(tmp_path, "sample", "--state", cli_inputs["state"], "--n", 1000, "--seed", 4,
+               "--zeta=-0.3,0", "--out", samples) == 0
+    want = dhd.sample_unbalanced(state, -0.3 + 0j, 1000, 4)
+    np.testing.assert_array_equal(dhd.load_csv(samples).samples, want.samples)
+    report = tmp_path / "t.json"
+    assert run(tmp_path, "estimate", "--samples", cli_inputs["samples"], "--target", "fock:1",
+               "--epsilon", 0.3, "--delta", "none", "--method", "clt", "--p", 2, "--eta", 0.26,
+               "--translate=-0.5,0.25", "--out", report) == 0
+    cfg = est.EstimatorConfig(fs.TargetOperator.fock_projector(1), 2, 0.26, 0.3, None, "clt")
+    moved = dhd.translate_samples(dhd.load_csv(cli_inputs["samples"]), -0.5 + 0.25j)
+    assert json.loads(report.read_text())["value"] == est.estimate(moved, cfg).value
+    capsys.readouterr()
+    for argv in (["sample", "--state", cli_inputs["state"], "--n", 10, "--seed", 4, "--zeta", "-0.3,0"],
+                 ["estimate", "--samples", cli_inputs["samples"], "--target", "fock:1", "--epsilon", 0.3,
+                  "--translate", "-0.5,0.25"]):
+        assert run(tmp_path, *argv, "--out", tmp_path / "space") == 64
+        assert json.loads(capsys.readouterr().err)["error"] == "usage-error"
+    assert not (tmp_path / "space").exists()
 
 
 def test_help_and_version_exit_0(capsys):

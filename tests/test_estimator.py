@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -306,6 +307,34 @@ def test_hoeffding_exponent_matches_paper_scaling():
     assert est.achieved_delta(cfg, N) == pytest.approx(want, rel=1e-9)
 
 
+def test_config_constants_follow_replace_and_feed_the_interval():
+    """The stored bias, p_n map and diagonality are recomputed by replace,
+    ignored by equality, and the Hoeffding interval reads the same N and
+    delta off them as required_samples and achieved_delta."""
+    cfg = est.EstimatorConfig(fs.TargetOperator.fock_projector(1), 2, 0.26, 0.2, 0.05)
+    other = dataclasses.replace(cfg, target=witness_operator(2), eta=0.2)
+    assert (other.bias(), other.pn_by_index(), other.is_diagonal) == (
+        est.bias_bound(1, 2, 0.2) + est.bias_bound(3, 2, 0.2),
+        {1: est.pn_threshold(1, 2, 0.2), 3: est.pn_threshold(3, 2, 0.2)},
+        True,
+    )
+    assert other.hoeffding_range == est.kernel_range(witness_operator(2), 2, 0.2)
+    core = fs.TargetOperator.core_projector(fs.CoreState.from_unnormalized([1, 1]))
+    assert not dataclasses.replace(cfg, target=core, bound_method="clt").is_diagonal
+    twin = est.EstimatorConfig(cfg.target, 2, 0.26, 0.2, 0.05)
+    object.__setattr__(twin, "_bias", -1.0)
+    assert twin == cfg
+    n = est.required_samples(cfg)
+    assert est.estimate_from_moments(cfg, n, 0.4).confidence == 1.0 - 0.05
+    with pytest.raises(InsufficientSamplesError) as info:
+        est.estimate_from_moments(cfg, n - 1, 0.4)
+    assert info.value.details["required_n"] == n
+    loose = dataclasses.replace(cfg, delta=None)
+    res = est.estimate_from_moments(loose, 100_000, 0.4)
+    assert res.confidence == 1.0 - est.achieved_delta(loose, 100_000)
+    assert res.kernel_range == loose.hoeffding_range == est.kernel_range(cfg.target, 2, 0.26)
+
+
 def test_unbiased_on_truncated_support():
     # lossy |2> has no population above n = 2, so E[g_22] = rho_22 exactly
     state = fs.make_lossy_fock(2, 0.8, 8)
@@ -478,6 +507,7 @@ def test_optimize_params_table_rows():
     r2 = est.optimize_params(1, 0.2, 0.05)
     assert (r2.config.p, abs(r2.config.eta - 0.26) <= 0.02) == (2, True)
     assert abs(r2.required_n - 5.8e5) / 5.8e5 <= 0.10
-    # with p = 1 the bias bound exceeds epsilon over the whole eta grid
-    with pytest.raises(InfeasiblePrecisionError):
-        est.optimize_params(2, 0.001, 0.05, p_max=1)
+    # at every p <= 8 the bias bound exceeds epsilon over the whole eta grid
+    with pytest.raises(InfeasiblePrecisionError) as info:
+        est.optimize_params(2, 1e-30, 0.05)
+    assert info.value.details["p_max"] == est.OPTIMIZE_P_MAX == 8

@@ -123,10 +123,10 @@ def grid_batch(fig5_state):
 
 
 def _feasible_witness_cells():
-    """(n, p, eta) over choose_witness_params's default grid where lambda > 0 at eps 0.1."""
+    """(n, p, eta) over choose_witness_params's grid where lambda > 0 at eps 0.1."""
     for n in (1, 2, 3):
-        for p in (1, 2, 3, 4):
-            for eta in np.arange(0.06, 0.46, 0.02):
+        for p in neg.WITNESS_P_VALUES:
+            for eta in neg.WITNESS_ETA_GRID:
                 cfg = est.EstimatorConfig(neg.witness_operator(n), p, float(eta), 0.1, None, "clt")
                 if cfg.lam() > 0:
                     yield n, p, float(eta)

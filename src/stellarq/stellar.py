@@ -13,8 +13,9 @@ with P_{<k}; the search therefore runs on the bare core and maps its
 winner back with ``compose_gaussians``.
 
 The supremum is lower-bounded by multi-start L-BFGS-B over the polar
-parameters (r, theta, Re beta, Im beta) of xi = r e^{i theta}, on the
-exact gradient of F = ||w||^2 with w = P_{<k} S(xi) u and u = D(beta) c:
+parameters (r, theta, Re beta, Im beta) of xi = r e^{i theta}, with r
+signed so that xi = 0 is no boundary of the search, on the exact
+gradient of F = ||w||^2 with w = P_{<k} S(xi) u and u = D(beta) c:
 
     dF/dRe beta = 2 Re <w, P S D (a^dag - a) c>
     dF/dIm beta = 2 Re <w, P S D i(a^dag + a) c>
@@ -25,11 +26,21 @@ exact gradient of F = ||w||^2 with w = P_{<k} S(xi) u and u = D(beta) c:
 The beta derivatives drop the Baker-Campbell-Hausdorff phase of
 D(beta + t) = D(beta) D(t) e^{i(...)t}, which is imaginary and cancels
 in Re <w, .>; the theta derivative follows from
-S(r e^{i theta}) = R(theta/2) S(r) R(-theta/2) with R(phi) = e^{-i phi n};
-the r derivative holds because S commutes with its own generator.  The
-per-restart record is kept because a local method can only certify what
-it found.  The optimizer also yields the optimal approximating state
-G^dag (P_{<k} G |psi> / ||.||).
+S(r e^{i theta}) = R(theta/2) S(r) R(-theta/2) with R(phi) = e^{-i phi n}.
+
+No term needs an inner Fock index.  Each is a (k + 2) x (n + 1) block
+G[m, j] = <m|S(xi) D(beta)|j>, computed by ladder recurrences in m and j
+(``fockspace._ladder_block``; Miatto & Quesada, arXiv 2004.11002;
+blocks too large for them go through an inner index), applied to a core
+vector: n D(beta) = D(beta)(a^dag + beta*)(a + beta)
+gives P S n u = P G (n + beta a^dag + beta* a + |beta|^2) c, and S commutes
+with its own generator, so P S K_theta u = P K_theta G c reads rows k
+and k + 1 of G c.  The winner is re-evaluated through ``gaussian_matrix``
+on the full prepared vector and must agree to 1e-8.  A restart counts as
+converged when L-BFGS-B says so, or when its line search fails at a point
+whose projected gradient is below 1e-6.  The per-restart record is kept
+because a local method can only certify what it found.  The optimizer
+also yields the optimal approximating state G^dag (P_{<k} G |psi> / ||.||).
 
 StellarPoly carries the holomorphic representation P(z) exp(S z^2 + D z)
 of a finite-rank pure state, on which photon subtraction acts as d/dz;
@@ -49,8 +60,10 @@ from .errors import DomainError, OptimizerError, UndefinedSubtractionError
 from .fockspace import (
     CoreState,
     GaussianUnitaryParams,
+    _LADDER_MAX_ENTRIES,
     _displacement_matrix,
     _inner_dim,
+    _ladder_block,
     _squeeze_matrix_recurrence,
     compose_gaussians,
     gaussian_matrix,
@@ -69,7 +82,10 @@ __all__ = [
 ]
 
 _TAIL_TOL = 1e-12
-# search box: r in [0, R_MAX], Re beta and Im beta in [-B_MAX, B_MAX]; theta is free
+# max norm of the projected gradient at which a failed line search counts as converged
+_STATIONARY_TOL = 1e-6
+# search box: r in [-R_MAX, R_MAX] (signed, see _unsigned), Re beta and Im beta
+# in [-B_MAX, B_MAX]; theta is free
 _R_MAX, _B_MAX = 4.0, 6.0
 
 
@@ -109,39 +125,68 @@ def _prepared_vector(target: CoreState) -> np.ndarray:
         dim *= 2
 
 
-def _fidelity_and_gradient(coeffs: np.ndarray, k: int, x) -> tuple:
-    """F = ||P_{<k} S(r e^{i theta}) D(beta) c||^2 and dF/d(r, theta, Re beta, Im beta).
-
-    One displacement block over K + 2 inner levels carries c and the two
-    beta generators applied to c (one extra core level); one block of k
-    squeeze rows carries u = D(beta) c, n u and K_theta u.  The inner
-    index K covers the support of D(beta)|m>, so the truncation is far
-    below the certified re-evaluation's 1e-8 check.
-    """
-    r, th, br, bi = (float(t) for t in x)
-    beta = complex(br, bi)
+def _objective(coeffs: np.ndarray, k: int):
+    """The search objective for core ``coeffs`` and rank bound k, with every
+    part that does not depend on the search point computed once."""
     n = coeffs.size
-    inner = _inner_dim(k, n + 1, beta) + 2
+    c = np.append(coeffs, 0.0)
     lift = np.sqrt(np.arange(1.0, n + 1.0))
     up = np.zeros(n + 1, dtype=complex)  # a^dag c
     up[1:] = lift * coeffs
     down = np.zeros(n + 1, dtype=complex)  # a c
     down[: n - 1] = lift[: n - 1] * coeffs[1:]
-    core = np.column_stack([np.append(coeffs, 0.0), up - down, 1j * (up + down)])
-    moved = _displacement_matrix(inner, n + 1, beta) @ core
-    u = moved[:, 0]
-    levels = np.arange(inner, dtype=float)
-    lowered = np.zeros(inner, dtype=complex)  # a^2 u
-    lowered[:-2] = np.sqrt((levels[:-2] + 1.0) * (levels[:-2] + 2.0)) * u[2:]
-    raised = np.zeros(inner, dtype=complex)  # a^dag^2 u
-    raised[2:] = np.sqrt(levels[2:] * (levels[2:] - 1.0)) * u[:-2]
-    gen = 0.5 * (cmath.exp(1j * th) * lowered - cmath.exp(-1j * th) * raised)
-    cols = np.column_stack([u, levels * u, gen, moved[:, 1], moved[:, 2]])
-    out = _squeeze_matrix_recurrence(k, inner, r, th) @ cols
-    w = out[:, 0]
-    d_theta = -0.5j * (np.arange(k) * w - out[:, 1])
-    grad = 2.0 * np.real(np.conj(w) @ np.column_stack([out[:, 2], d_theta, out[:, 3], out[:, 4]]))
-    return float(np.vdot(w, w).real), grad
+    core = np.column_stack([c, up, down, np.arange(n + 1) * c])
+    levels = np.arange(k, dtype=float)
+    lowering = np.sqrt((levels + 1.0) * (levels + 2.0))  # <m|a^2|m+2>
+    raising = np.sqrt(levels[2:] * (levels[2:] - 1.0))  # <m|a^dag^2|m-2>
+    ladder = (k + 2) * (n + 1) <= _LADDER_MAX_ENTRIES
+
+    def moved(g) -> np.ndarray:
+        """G @ core for the block G[m, j] = <m|S(xi) D(beta)|j>, m < k + 2, j <= n.
+
+        G comes from the ladder recurrences while they stay accurate, and
+        otherwise as squeeze rows times a displacement block over an inner
+        index that covers the support of D(beta)|j>.
+        """
+        if ladder:
+            return _ladder_block(k + 2, n + 1, g) @ core
+        inner = _inner_dim(k + 2, n + 1, g.displacement)
+        squeeze = _squeeze_matrix_recurrence(k + 2, inner, g.squeeze_r, g.squeeze_theta)
+        return squeeze @ (_displacement_matrix(inner, n + 1, g.displacement) @ core)
+
+    def value_and_gradient(x) -> tuple:
+        """F = ||P_{<k} S(r e^{i theta}) D(beta) c||^2 and dF/d(r, theta, Re beta, Im beta).
+
+        r is signed (``_unsigned``).  The (k + 2) x (n + 1) block G of
+        ``moved``, n core levels plus one for a^dag c, multiplies the fixed
+        columns c, a^dag c, a c and n c.  With v = G c and w its rows < k,
+        every term is an inner product with w (see the module docstring):
+
+        * F = <w, w>;
+        * dF/dRe beta = 2 Re <w, G (a^dag - a) c>,
+          dF/dIm beta = 2 Re <w, G i(a^dag + a) c>;
+        * dF/dtheta = -Im <w, G (n + beta a^dag + beta* a + |beta|^2) c>;
+          <w, n w> is real, so the n w term drops out;
+        * dF/dr = Re(e^{i theta} <w, a^2 v> - e^{-i theta} <w, a^dag^2 v>),
+          which reads rows k and k + 1 of v; it holds for either sign of r,
+          since xi = r e^{i theta} is linear in r.
+        """
+        r, th, br, bi = (float(t) for t in x)
+        beta = complex(br, bi)
+        g = GaussianUnitaryParams(*_unsigned((r, th)), beta)
+        v = moved(g)
+        w = v[:k, 0]
+        bra = w.conj()
+        norm, on_up, on_down, on_number = (bra @ v[:k]).tolist()
+        on_shifted = on_number + beta * on_up + beta.conjugate() * on_down + abs(beta) ** 2 * norm
+        on_lowered = complex(bra @ (lowering * v[2:, 0]))  # <w, a^2 v>
+        on_raised = complex(bra[2:] @ (raising * v[: raising.size, 0]))  # <w, a^dag^2 v>
+        turn = cmath.exp(1j * th)
+        d_r = (turn * on_lowered - turn.conjugate() * on_raised).real
+        grad = np.array([d_r, -on_shifted.imag, 2.0 * (on_up - on_down).real, -2.0 * (on_up + on_down).imag])
+        return norm.real, grad
+
+    return value_and_gradient
 
 
 def _restart_points(rng: np.random.Generator, n_restarts: int, identity_optimal: bool) -> list:
@@ -169,6 +214,19 @@ def _restart_points(rng: np.random.Generator, n_restarts: int, identity_optimal:
     return pts
 
 
+def _unsigned(x) -> tuple:
+    """Search parameters with r >= 0.
+
+    The search takes r in [-R_MAX, R_MAX]: S(-r e^{i theta}) =
+    S(r e^{i(theta + pi)}), so xi = r e^{i theta} passes through 0 along a
+    line.  A bound at r = 0 would be a false stationary face: F does not
+    depend on theta there, so dF/dtheta = 0, and a search with dF/dr < 0
+    would stop on it although F grows along theta + pi.
+    """
+    r, th, *rest = (float(t) for t in x)
+    return (-r, th + math.pi, *rest) if r < 0 else (r, th, *rest)
+
+
 def _canonical(x) -> tuple:
     """The representative of a single-Fock core's rotation orbit with beta >= 0.
 
@@ -185,6 +243,26 @@ def _canonical(x) -> tuple:
     return r, th, abs(beta), 0.0
 
 
+def _converged(res, bounds) -> bool:
+    """L-BFGS-B's verdict, except that a line search that fails at a
+    stationary point counts as converged.
+
+    Near a maximum the objective is flat to rounding, and the line search
+    can then stop with an "ABNORMAL" exit at a point whose projected
+    gradient is below 1e-6 in max norm; that point is as good as one where
+    L-BFGS-B reports convergence.  r is signed (``_unsigned``), so every
+    face of the box is a true bound of the search and the projected
+    gradient vanishes only at a stationary point of F on the box.
+    """
+    if res.success:
+        return True
+    if not str(res.message).startswith("ABNORMAL"):
+        return False
+    lo, hi = np.array(bounds).T
+    step = np.clip(res.x - res.jac, lo, hi) - res.x
+    return bool(np.max(np.abs(step)) <= _STATIONARY_TOL)
+
+
 def max_fidelity_rank_bounded(
     target: CoreState, k: int, restarts: int = 32, seed: int = 0
 ) -> ProfilePoint:
@@ -192,12 +270,13 @@ def max_fidelity_rank_bounded(
     if k < 1:
         raise DomainError("k must be a positive integer")
     coeffs = np.asarray(target.coeffs, dtype=complex)
+    objective = _objective(coeffs, k)
 
     def neg_obj(x):
-        f, grad = _fidelity_and_gradient(coeffs, k, x)
+        f, grad = objective(x)
         return -f, -grad
 
-    bounds = ((0.0, _R_MAX), (None, None), (-_B_MAX, _B_MAX), (-_B_MAX, _B_MAX))
+    bounds = ((-_R_MAX, _R_MAX), (-np.inf, np.inf), (-_B_MAX, _B_MAX), (-_B_MAX, _B_MAX))
     rng = np.random.default_rng(seed)
     report = []
     for x0 in _restart_points(rng, restarts, k >= coeffs.size):
@@ -212,8 +291,8 @@ def max_fidelity_rank_bounded(
         report.append(
             {
                 "objective": -float(res.fun),
-                "params": tuple(float(t) for t in res.x),
-                "converged": bool(res.success),
+                "params": _unsigned(res.x),
+                "converged": _converged(res, bounds),
                 "nfev": int(res.nfev),
             }
         )

@@ -1,8 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import OptimizeResult
 
 from stellarq import fockspace as fs, stellar
 from stellarq.errors import DomainError, OptimizerError, UndefinedSubtractionError
@@ -75,7 +77,7 @@ def _extended_fidelity(coeffs, k, x):
     r, th, br, bi = x
     if r < 0:
         r, th = -r, th + math.pi
-    return stellar._fidelity_and_gradient(coeffs, k, (r, th, br, bi))[0]
+    return stellar._objective(coeffs, k)((r, th, br, bi))[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,7 +95,7 @@ def test_gradient_matches_central_differences(coeffs, k, r, th, br, bi):
     c = np.asarray(coeffs, dtype=complex)
     c /= np.linalg.norm(c)
     x = np.array([r, th, br, bi])
-    _, grad = stellar._fidelity_and_gradient(c, k, x)
+    _, grad = stellar._objective(c, k)(x)
     h = 1e-5
     for i in range(4):
         e = np.zeros(4)
@@ -108,12 +110,75 @@ def test_seed7_reaches_the_fock3_rank1_ceiling():
     assert pt.max_fidelity >= 0.4615
 
 
+def test_large_block_objective_stays_accurate():
+    # (k + 2)(n + 1) = 572 entries, past fockspace._LADDER_MAX_ENTRIES: the
+    # ladder recurrences would put F off by about 1e-9 at this point
+    rng = np.random.default_rng(4)
+    c = rng.normal(size=26) + 1j * rng.normal(size=26)
+    c /= np.linalg.norm(c)
+    x = (0.1, 2.97, -0.39, 4.73)
+    w = fs.gaussian_matrix(20, 26, fs.GaussianUnitaryParams(0.1, 2.97, complex(-0.39, 4.73))) @ c
+    assert stellar._objective(c, 20)(x)[0] == pytest.approx(float(np.vdot(w, w).real), abs=1e-11)
+
+
+def test_signed_r_is_the_opposite_squeeze():
+    c = np.array([0.3, -0.5j, 0.6, 0.2 + 0.4j])
+    c /= np.linalg.norm(c)
+    objective = stellar._objective(c, 3)
+    f_neg, g_neg = objective((-0.4, 0.7, 0.3, -0.2))
+    f_pos, g_pos = objective((0.4, 0.7 + math.pi, 0.3, -0.2))
+    assert f_neg == pytest.approx(f_pos, abs=1e-14)
+    assert g_neg == pytest.approx(g_pos * np.array([-1, 1, 1, 1]), abs=1e-13)
+    assert stellar._unsigned((-0.4, 0.7, 0.3, -0.2)) == (0.4, 0.7 + math.pi, 0.3, -0.2)
+
+
+def _is_local_maximum(coeffs, k, g, step=1e-3):
+    # F, by gaussian_matrix, does not grow along +-Re and +-Im of xi and of
+    # beta; at xi = 0 the moves of xi try theta = 0, pi/2, pi and 3 pi/2
+    def fidelity(xi, beta):
+        h = fs.GaussianUnitaryParams(abs(xi), cmath.phase(xi), beta)
+        w = fs.gaussian_matrix(k, coeffs.size, h) @ coeffs
+        return float(np.vdot(w, w).real)
+
+    f = fidelity(g.xi, g.displacement)
+    moves = [step * u for u in (1, -1, 1j, -1j)]
+    return all(fidelity(g.xi + d, g.displacement) <= f + 1e-12 for d in moves) and all(
+        fidelity(g.xi, g.displacement + d) <= f + 1e-12 for d in moves
+    )
+
+
 def test_deterministic_start_alone_finds_a_ceiling():
-    for n in range(1, 6):
+    # a start can end in a line search that fails at a stationary point,
+    # which must count as converged; the point must be a maximum of F, not a
+    # stop at xi = 0 with F growing along some theta, where a search with
+    # r >= 0 ends for fock(5) at k = 2 and fock(8) at k = 5 (F = 0.2854,
+    # against a ceiling of 0.4562)
+    for n in range(1, 9):
         for k in range(1, n + 1):
             pt = stellar.max_fidelity_rank_bounded(fs.CoreState.fock(n), k, restarts=0)
             assert len(pt.optimizer_report) == 1
             assert pt.max_fidelity > 0.0
+            assert _is_local_maximum(np.eye(n + 1)[n], k, pt.optimal_params), (n, k)
+
+
+def test_failed_line_search_converged_only_when_stationary():
+    bounds = ((-4.0, 4.0), (-np.inf, np.inf), (-6.0, 6.0), (-6.0, 6.0))
+
+    def result(x, jac, success=False, message="ABNORMAL: "):
+        return OptimizeResult(x=np.array(x), jac=np.array(jac), success=success, message=message)
+
+    x = [0.5, 1.0, 0.2, -0.3]
+    assert stellar._converged(result(x, [3e-7, -2e-7, 0.0, 1e-7]), bounds)
+    assert not stellar._converged(result(x, [3e-7, -2e-7, 1e-3, 1e-7]), bounds)
+    # r = 0 is inside the box, so a gradient along r is never projected away
+    assert not stellar._converged(result([0.0, 1.0, 0.2, -0.3], [0.6, 0.0, 0.0, 0.0]), bounds)
+    # on a face of the box an ascent direction out of it is
+    assert stellar._converged(result([4.0, 1.0, 0.2, -0.3], [-0.6, 0.0, 0.0, 0.0]), bounds)
+    assert not stellar._converged(result([4.0, 1.0, 0.2, -0.3], [0.6, 0.0, 0.0, 0.0]), bounds)
+    # any other failure stays a failure, however small the gradient
+    stalled = result(x, [0.0] * 4, message="STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")
+    assert not stellar._converged(stalled, bounds)
+    assert stellar._converged(result(x, [1.0] * 4, success=True), bounds)
 
 
 def test_canonical_params_keep_the_fidelity():
@@ -121,8 +186,8 @@ def test_canonical_params_keep_the_fidelity():
     c = np.array([0, 0, 1], dtype=complex)
     for _ in range(20):
         x = np.array([rng.uniform(0, 1.5), rng.uniform(-4, 4), *rng.normal(size=2)])
-        assert stellar._fidelity_and_gradient(c, 2, stellar._canonical(x))[0] == pytest.approx(
-            stellar._fidelity_and_gradient(c, 2, x)[0], abs=1e-12
+        assert stellar._objective(c, 2)(stellar._canonical(x))[0] == pytest.approx(
+            stellar._objective(c, 2)(x)[0], abs=1e-12
         )
     pt = stellar.max_fidelity_rank_bounded(fs.CoreState.fock(2), 2, restarts=8)
     g = pt.optimal_params

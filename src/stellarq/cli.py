@@ -155,7 +155,7 @@ def _build_step(state, op: str, params: dict, pointer: str):
         return fs.photon_add(state)
     if op == "gaussian":
         g = _gaussian_params(params, pointer)
-        out_dim = params.get("out_dim")
+        out_dim = _need(params, "out_dim", pointer, int, lambda v: v > 0) if "out_dim" in params else None
         return fs.apply_gaussian(state, g, out_dim=out_dim)
     raise UsageError(f"unknown state operation {op!r} at {pointer}", pointer=pointer)
 

@@ -406,9 +406,11 @@ def photon_add(state: TruncatedState) -> TruncatedState:
 # long index by 5.9e-13 on the 300 x 24 block at r = 1 and 8.5e-13 on the
 # 1000 x 24 block at r = 1.5.  With both sides large it amplifies a
 # parasitic solution: at r = 1 the 60 x 60 block is off by 2.5e-8 and
-# the 200 x 200 block by 1e14.
+# the 200 x 200 block by 1e14.  A block of 25 to 32 rows and more columns
+# runs it along its columns instead, within 1.8e-10 (r <= 3, 300 columns).
 
 _SQUEEZE_RECURRENCE_MAX = 24
+_SQUEEZE_WIDE_RECURRENCE_MAX = 32
 _LAGUERRE_RESCALE = 2.0**512
 
 
@@ -523,72 +525,78 @@ def _squeeze_matrix_sectors(n_rows: int, m_cols: int, r: float, th: float, pad: 
     return out * np.exp(-0.5j * th * np.subtract.outer(np.arange(n_rows), np.arange(m_cols)))
 
 
-def _until_stable(block, size: int, grow):
-    """block(size) for size, grow(size), ... until two in a row agree to 1e-12
-    or the size reaches _MAX_AUTO_DIM; the last block."""
-    cur = None
-    while True:
-        nxt = block(size)
-        if size >= _MAX_AUTO_DIM or cur is not None and np.max(np.abs(nxt - cur)) < 1e-12:
-            return nxt
-        cur, size = nxt, grow(size)
-
-
 def _squeeze_matrix_padded(n_rows: int, m_cols: int, r: float, th: float) -> np.ndarray:
-    """The squeeze block on pads 64 * 1.5^k from max(n_rows, m_cols) + 48 on, until stable."""
+    """The squeeze block on pads 64 * 1.5^k from max(n_rows, m_cols) + 48 on,
+    until two in a row agree to 1e-12 or the pad reaches _MAX_AUTO_DIM."""
     pad = 64
     while pad < max(n_rows, m_cols) + 48:
         pad = int(1.5 * pad)
-    return _until_stable(
-        lambda k: _squeeze_matrix_sectors(n_rows, m_cols, r, th, k), pad, lambda k: int(1.5 * k)
-    )
+    cur, nxt = None, _squeeze_matrix_sectors(n_rows, m_cols, r, th, pad)
+    while pad < _MAX_AUTO_DIM and (cur is None or np.max(np.abs(nxt - cur)) >= 1e-12):
+        cur, pad = nxt, int(1.5 * pad)
+        nxt = _squeeze_matrix_sectors(n_rows, m_cols, r, th, pad)
+    return nxt
 
 
 def _squeeze_block(n_rows: int, m_cols: int, r: float, th: float) -> np.ndarray:
     if min(n_rows, m_cols) <= _SQUEEZE_RECURRENCE_MAX:
         return _squeeze_matrix_recurrence(n_rows, m_cols, r, th)
+    if n_rows <= _SQUEEZE_WIDE_RECURRENCE_MAX < m_cols:  # S(xi)^T = S(-conj xi)
+        return _squeeze_matrix_recurrence(m_cols, n_rows, r, math.pi - th).T
     return _squeeze_matrix_padded(n_rows, m_cols, r, th)
 
 
-def _inner_dim(n_rows: int, m_cols: int, beta: complex) -> int:
-    """Starting inner size of S @ D(beta): covers the support of D(beta)|m>."""
-    return n_rows + m_cols + 32 + int(math.ceil(8.0 * abs(beta) ** 2 + 8.0 * abs(beta)))
+def _compose(outer, inner, start: float) -> np.ndarray:
+    """outer(k) @ inner(k) over k = ceil(start) inner levels, doubled up to
+    _MAX_AUTO_DIM until the columns of inner(k) or the rows of outer(k), cuts
+    of unit vectors, hold norm 1 to 1e-10 and less than 1e-13 in their last 16
+    levels (CutoffError if neither does).  Past the bulk S(xi)|j> falls by tanh r
+    every two levels and D(beta)|j> faster, so the dropped norm is under ten times
+    the last 16 levels' for r <= 4 (a larger r never reaches unit norm in the cap);
+    entry [n, m] drops at most the smaller of row n's and column m's (Cauchy-Schwarz).
+    """
+    def covered(block):
+        mass = block.real**2 + block.imag**2
+        return np.max(np.abs(mass.sum(axis=0) - 1.0)) <= 1e-10 and np.max(mass[-16:].sum(axis=0)) <= 1e-26
+
+    size = math.ceil(min(start, _MAX_AUTO_DIM))
+    while True:
+        right = inner(size)
+        if covered(right):
+            return outer(size) @ right
+        left = outer(size)
+        if covered(left.T):
+            return left @ right
+        if size >= _MAX_AUTO_DIM:
+            raise CutoffError(f"the inner index of a Gaussian block needs over {_MAX_AUTO_DIM} levels")
+        size = min(2 * size, _MAX_AUTO_DIM)
 
 
 def gaussian_matrix(n_rows: int, m_cols: int, g: GaussianUnitaryParams) -> np.ndarray:
     """Matrix u[n, m] = <n| S(xi) D(beta) |m> for n < n_rows, m < m_cols.
 
-    Pure displacements and pure squeezes use their direct blocks.  The
-    general case composes two blocks over an inner index grown until the
-    requested block stops changing (tail below 1e-12):
-
-    * at most 24 rows: u = S @ D(beta), the squeeze rows by their
-      recurrence and the inner index covering the support of D(beta)|m>,
-      about |beta|^2 wide;
-    * otherwise u = D(gamma) @ S, where D(gamma) = S D(beta) S^dag, so the
-      inner index covers the support of S|m> whatever |beta| is; a squeeze
-      block with that many rows would need a generator padded
-      past 8 |beta|^2 levels.
+    Pure displacements and pure squeezes use their direct blocks.  The general
+    case is a product over an inner index (``_compose``): D(gamma) @ S for more
+    than 24 rows and at most 24 columns, D(gamma) = S D(beta) S^dag, so that
+    the squeeze factor runs its row recurrence, and S @ D(beta) otherwise.  It
+    starts at the fewer levels that cover the squeeze factor's side or the
+    displacement factor's (about |c|^2 + |c| sqrt(2j + 1) past j for D(c));
+    each covered its side at once over r <= 2.3 and |beta| <= 12.5.
     """
     r, th, b = g.squeeze_r, g.squeeze_theta, complex(g.displacement)
     if r == 0.0:
         return _displacement_matrix(n_rows, m_cols, b)
     if b == 0:
         return _squeeze_block(n_rows, m_cols, r, th)
-    if n_rows <= _SQUEEZE_RECURRENCE_MAX:
-        inner = _inner_dim(n_rows, m_cols, b)
-
-        def block(k):
-            return _squeeze_block(n_rows, k, r, th) @ _displacement_matrix(k, m_cols, b)
-
-    else:
-        inner = n_rows + m_cols + 32
-        gamma = complex(_affine(g)[2])
-
-        def block(k):
-            return _displacement_matrix(n_rows, k, gamma) @ _squeeze_block(k, m_cols, r, th)
-
-    return _until_stable(block, inner, lambda k: int(1.4 * k) + 16)
+    tall = n_rows > _SQUEEZE_RECURRENCE_MAX >= m_cols
+    s_side, d_side, c = (m_cols, n_rows, complex(_affine(g)[2])) if tall else (n_rows, m_cols, b)
+    start = min(s_side + 32 + (60 + 3 * s_side) / -math.log(math.tanh(min(r, 10.0))),  # tanh 10 < 1
+                d_side + 32 + abs(c) ** 2 + 3.5 * abs(c) * math.sqrt(d_side + 16))
+    if tall:
+        return _compose(lambda k: _displacement_matrix(n_rows, k, c),
+                        lambda k: _squeeze_block(k, m_cols, r, th), start)
+    return _compose(lambda k: _squeeze_block(n_rows, k, r, th),
+                    lambda k: _displacement_matrix(k, m_cols, b), start)
 
 
 def gaussian_matrix_element(n: int, m: int, g: GaussianUnitaryParams) -> complex:
@@ -700,7 +708,9 @@ def apply_gaussian(
     deficit_tol / 10.
     """
     auto = out_dim is None
-    dim = out_dim if out_dim else max(2 * state.dim, 32)
+    if not auto and (type(out_dim) is not int or out_dim < 1):
+        raise DomainError(f"out_dim must be a positive integer, got {out_dim!r}")
+    dim = max(2 * state.dim, 32) if auto else out_dim
     tr_in = state.trace
     while True:
         u = gaussian_matrix(dim, state.dim, g)

@@ -31,7 +31,7 @@ S(r e^{i theta}) = R(theta/2) S(r) R(-theta/2) with R(phi) = e^{-i phi n}.
 No term needs an inner Fock index.  Each is a (k + 2) x (n + 1) block
 G[m, j] = <m|S(xi) D(beta)|j>, computed by ladder recurrences in m and j
 (``fockspace._ladder_block``; Miatto & Quesada, arXiv 2004.11002;
-blocks too large for them go through an inner index), applied to a core
+blocks too large for them go through ``gaussian_matrix``), applied to a core
 vector: n D(beta) = D(beta)(a^dag + beta*)(a + beta)
 gives P S n u = P G (n + beta a^dag + beta* a + |beta|^2) c, and S commutes
 with its own generator, so P S K_theta u = P K_theta G c reads rows k
@@ -61,10 +61,7 @@ from .fockspace import (
     CoreState,
     GaussianUnitaryParams,
     _LADDER_MAX_ENTRIES,
-    _displacement_matrix,
-    _inner_dim,
     _ladder_block,
-    _squeeze_matrix_recurrence,
     compose_gaussians,
     gaussian_matrix,
 )
@@ -142,17 +139,9 @@ def _objective(coeffs: np.ndarray, k: int):
     ladder = (k + 2) * (n + 1) <= _LADDER_MAX_ENTRIES
 
     def moved(g) -> np.ndarray:
-        """G @ core for the block G[m, j] = <m|S(xi) D(beta)|j>, m < k + 2, j <= n.
-
-        G comes from the ladder recurrences while they stay accurate, and
-        otherwise as squeeze rows times a displacement block over an inner
-        index that covers the support of D(beta)|j>.
-        """
-        if ladder:
-            return _ladder_block(k + 2, n + 1, g) @ core
-        inner = _inner_dim(k + 2, n + 1, g.displacement)
-        squeeze = _squeeze_matrix_recurrence(k + 2, inner, g.squeeze_r, g.squeeze_theta)
-        return squeeze @ (_displacement_matrix(inner, n + 1, g.displacement) @ core)
+        """G @ core for the block G[m, j] = <m|S(xi) D(beta)|j>, m < k + 2, j <= n, from
+        the ladder recurrences while they stay accurate and otherwise through ``gaussian_matrix``."""
+        return (_ladder_block if ladder else gaussian_matrix)(k + 2, n + 1, g) @ core
 
     def value_and_gradient(x) -> tuple:
         """F = ||P_{<k} S(r e^{i theta}) D(beta) c||^2 and dF/d(r, theta, Re beta, Im beta).

@@ -57,6 +57,18 @@ def test_schema_violation_exit_code(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["pointer"] == f"/core/{field}"
 
 
+@pytest.mark.parametrize("bad", ["-1", "0", '"x"', "2.5"])
+def test_gaussian_out_dim_must_be_a_positive_int(bad, tmp_path, capsys):
+    # these ended in a ValueError or TypeError traceback, and 0 meant automatic
+    spec = f'{{"pipeline":[{{"fock":{{"n":1,"dim":4}}}},{{"gaussian":{{"r":0.5,"beta":[1,0],"out_dim":{bad}}}}}]}}'
+    out = tmp_path / "x.json"
+    assert run(tmp_path, "state", "--spec", spec, "--out", out) == 64
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage-error"
+    assert err["pointer"] == "/pipeline/1/gaussian/out_dim"
+    assert not out.exists()
+
+
 def test_sample_determinism_and_manifest(tmp_path):
     state = tmp_path / "vac.json"
     run(tmp_path, "state", "--spec", '{"fock":{"n":0,"dim":8}}', "--out", state)
@@ -151,8 +163,9 @@ def test_estimate_core_target_clt(tmp_path):
     [
         pytest.param(["optimize-params", "--n", "10000", "--epsilon", "0.2", "--out", "{out}"],
                      id="optimize-params-n-10000"),
-        pytest.param(["state", "--spec", '{"core":{"coeffs":[1],"r":0.1,"beta":[50,0],"dim":8}}',
-                      "--out", "{out}"], id="state-beta-50"),
+        # the binomial populations need log 10,001!; the state matrix is never built
+        pytest.param(["state", "--spec", '{"lossy_fock":{"n":10001,"eta":0.5,"dim":10002}}',
+                      "--out", "{out}"], id="state-lossy-fock-10001"),
     ],
 )
 def test_log_factorial_table_limit_exits_2(argv, tmp_path, capsys):
@@ -161,6 +174,17 @@ def test_log_factorial_table_limit_exits_2(argv, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "domain-error"
     assert err["limit"] == 10_000
+    assert not out.exists()
+
+
+def test_far_displaced_core_exits_2(tmp_path, capsys):
+    # D(beta)|0> at beta = 50 sits about 2,500 levels up: the inner index that
+    # covers it stays inside the log-factorial table, and the 8-level state
+    # fails its truncation check
+    out = tmp_path / "out.json"
+    spec = '{"core":{"coeffs":[1],"r":0.1,"beta":[50,0],"dim":8}}'
+    assert run(tmp_path, "state", "--spec", spec, "--out", out) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "cutoff-error"
     assert not out.exists()
 
 

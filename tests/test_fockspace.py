@@ -97,8 +97,8 @@ def test_gaussian_matrix_element_against_oracles():
                 got = fs.gaussian_matrix_element(n, m, g)
                 assert got == pytest.approx(gaussian_element_expm(n, m, g), abs=1e-9)
                 assert got == pytest.approx(gaussian_element_closed_form(n, m, g), abs=1e-9)
-    # the tall pure-displacement block the rank-bounded fidelity search
-    # requests: K x 3 with K = 3 + 32 + ceil(8 |beta|^2 + 8 |beta|)
+    # a tall pure-displacement block, K x 3 with K = 3 + 32 + ceil(8 |beta|^2 + 8 |beta|),
+    # the size of an inner factor of S @ D(beta) at |beta| = 3
     for phase in (0.0, 0.9, -2.3):
         beta = 3.0 * np.exp(1j * phase)
         K = 3 + 32 + math.ceil(8 * abs(beta) ** 2 + 8 * abs(beta))
@@ -116,12 +116,113 @@ def test_gaussian_matrix_unitarity_columns():
 
 
 def test_gaussian_matrix_squeeze_with_large_displacement():
-    # the inner index covers the support of S|m>, not a range growing with
-    # 8 |beta|^2 (1,544 levels at |beta| = 12, which ran for minutes)
+    # a tall block is D(gamma) @ S, whose inner index covers S|m>, about 100
+    # levels at r = 0.3 whatever |beta| is, where D(beta)|m> spans about
+    # |beta|^2 = 144 levels past m
     t0 = time.monotonic()
     u = fs.gaussian_matrix(256, 8, fs.GaussianUnitaryParams(0.3, 0.4, 12))
     assert time.monotonic() - t0 < 5.0
     np.testing.assert_allclose(np.linalg.norm(u, axis=0), 1.0, rtol=0, atol=1e-10)
+
+
+# a tall block far from the origin: |gamma| is about 40 and S|7> needs about
+# 2,000 inner levels, so products over fewer levels read about 1e-27 and agree
+# with each other, not with the block
+_FAR_G = fs.GaussianUnitaryParams(
+    2.042150708887782, -1.1365788176808307, 5.260095442375366 + 0.46075655852693576j
+)
+
+
+def test_gaussian_matrix_tall_block_far_from_the_origin():
+    u = fs.gaussian_matrix(26, 8, _FAR_G)
+    # the ladder recurrences of ``_ladder_block`` run at 40 digits
+    assert abs(u[1, 7] - (0.21451228048042422 - 0.1904952424782364j)) <= 1e-12
+    np.testing.assert_allclose(u, fs._ladder_block(26, 8, _FAR_G), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(25, 40),
+    st.integers(1, 24),
+    st.floats(1e-3, 2.5),
+    st.floats(-math.pi, math.pi),
+    st.floats(-6.0, 6.0),
+    st.floats(-6.0, 6.0),
+)
+def test_gaussian_matrix_orders_agree(n_rows, m_cols, r, th, br, bi):
+    # more than 24 rows compose D(gamma) @ S, 24 rows S @ D(beta); the two
+    # share their first 24 rows
+    g = fs.GaussianUnitaryParams(r, th, complex(br, bi))
+    try:
+        tall = fs.gaussian_matrix(n_rows, m_cols, g)
+    except CutoffError:
+        # only where both S|m> and the rows of D(gamma) span more than the
+        # 4,096-level cap
+        s = fs._squeeze_matrix_recurrence(fs._MAX_AUTO_DIM, m_cols, r, th)
+        d = fs._displacement_matrix(n_rows, fs._MAX_AUTO_DIM, complex(fs._affine(g)[2])).T
+        for cut in (s, d):
+            left = np.maximum(1.0 - np.linalg.norm(cut, axis=0) ** 2, np.linalg.norm(cut[-16:], axis=0))
+            assert np.max(left) > 1e-13
+        return
+    # S @ D(beta) over levels that hold D(beta)|m>, with the squeeze rows from
+    # the parity-sector eigendecomposition (2e-15 off at r = 1.35 over 200
+    # columns, against the row recurrence run at 40 digits)
+    b = abs(g.displacement)
+    inner = m_cols + 48 + math.ceil(b * b + 5 * b * math.sqrt(m_cols + 16))
+    d = fs._displacement_matrix(inner, m_cols, g.displacement)
+    assert np.max(np.linalg.norm(d[-16:], axis=0)) <= 1e-15
+    want = fs._squeeze_matrix_padded(24, d.shape[0], r, th) @ d
+    # measured 2.7e-12 at worst over 300 draws, at r = 1.8, beta = -6 - 6i and
+    # 23 columns: the squeeze recurrence run along 2,560 rows is 1.0e-12 off
+    assert np.max(np.abs(tall[:24] - want)) <= 1e-11
+    # the 24-row block runs the squeeze recurrence over up to 24 rows and
+    # hundreds of columns, where it is less accurate: measured 8.2e-11
+    assert np.max(np.abs(fs.gaussian_matrix(24, m_cols, g) - want)) <= 1e-9
+
+
+def test_gaussian_matrix_tall_block_at_strong_squeezing():
+    # S|m> at r = 2.8 needs over 4,096 inner levels, the rows of D(gamma),
+    # |gamma| about 1.6, a few hundred: the composition stops on the rows.
+    # The reference is S @ D(beta) on sector-decomposed squeeze rows, over
+    # levels that hold D(0.1)|m> to 1e-30
+    g = fs.GaussianUnitaryParams(2.8, 0.0, 0.1)
+    d = fs._displacement_matrix(40, 2, g.displacement)
+    want = fs._squeeze_matrix_padded(64, 40, g.squeeze_r, g.squeeze_theta) @ d
+    np.testing.assert_allclose(fs.gaussian_matrix(64, 2, g), want, rtol=0, atol=1e-12)
+    # a framed core state at r = 2.5 that holds all but 1e-6 of its norm in
+    # 2,048 levels; its reference squeeze columns come from the row recurrence
+    # run along 2,048 rows
+    frame = fs.GaussianUnitaryParams(2.5, 0.7, 0.1)
+    core = fs.CoreState.from_unnormalized([0.3, 1.0], frame)
+    v = core.fock_vector(2048)
+    assert 1.0 - np.vdot(v, v).real <= fs.DEFICIT_TOL
+    d = fs._displacement_matrix(24, 2, frame.displacement)
+    want = fs._squeeze_matrix_recurrence(2048, 24, frame.squeeze_r, frame.squeeze_theta) @ d
+    np.testing.assert_allclose(v, want @ np.asarray(core.coeffs), rtol=0, atol=1e-12)
+
+
+def test_gaussian_matrix_rows_cover_a_far_displacement():
+    # D(70)|m> sits about 4,900 levels up, past the cap, while the rows of
+    # S(0.5) fall to 1e-13 within about 200 levels: the block holds the
+    # overlap of the two, below 1e-12
+    u = fs.gaussian_matrix(4, 4, fs.GaussianUnitaryParams(0.5, 0.2, 70.0))
+    assert np.max(np.abs(u)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n_rows, m_cols, g",
+    [
+        # S|m> at r = 3 falls by tanh 3 every two levels, so 1e-13 is 6,000
+        # levels away; |gamma| is about 140, so D(gamma)'s rows sit about
+        # 20,000 levels up
+        pytest.param(30, 4, fs.GaussianUnitaryParams(3.0, 0.2, 7j), id="tall"),
+        # the rows of S(3) as far away, and D(beta)|m> centred on |beta|^2 = 4,900 levels
+        pytest.param(4, 4, fs.GaussianUnitaryParams(3.0, 0.2, 70.0), id="wide"),
+    ],
+)
+def test_gaussian_matrix_inner_index_cap(n_rows, m_cols, g):
+    with pytest.raises(CutoffError):
+        fs.gaussian_matrix(n_rows, m_cols, g)
 
 
 def test_displacement_matrix_finite_far_from_the_diagonal():
@@ -158,6 +259,17 @@ def test_squeeze_recurrence_accuracy(n_rows, m_cols, r, dim, bound):
     got = fs._squeeze_matrix_recurrence(n_rows, m_cols, g.squeeze_r, g.squeeze_theta)
     oracle = gaussian_block_expm(n_rows, m_cols, g, dim=dim)
     assert np.max(np.abs(got - oracle)) <= bound
+
+
+@pytest.mark.parametrize("r", [1.0, 1.75])
+def test_squeeze_wide_block_runs_along_its_columns(r):
+    # 25 to 32 rows and more columns: the recurrence along the columns,
+    # measured 1.8e-10 at worst at 32 x 300 over r <= 3, where the one over
+    # the rows is 1.6e-8 off and the sector eigendecomposition's pads grow
+    # past 700 levels
+    assert fs._SQUEEZE_WIDE_RECURRENCE_MAX == 32
+    want = fs._squeeze_matrix_padded(32, 300, r, 0.7)
+    assert np.max(np.abs(fs._squeeze_block(32, 300, r, 0.7) - want)) <= 5e-10
 
 
 @pytest.mark.parametrize("size, r", [(40, 1.0), (100, 1.5)])
@@ -247,6 +359,9 @@ def test_apply_gaussian_roundtrips():
 
     with pytest.raises(CutoffError):
         fs.apply_gaussian(vac, fs.GaussianUnitaryParams(0, 0, 4.0), out_dim=4)
+    for bad in (0, -1, 2.5, "x"):  # 0 meant automatic, the others raised from numpy
+        with pytest.raises(DomainError):
+            fs.apply_gaussian(vac, fs.GaussianUnitaryParams(0, 0, 1.0), out_dim=bad)
 
 
 def test_apply_gaussian_inverse_params():

@@ -34,6 +34,7 @@ analytic, and is flagged as such.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -189,16 +190,22 @@ def _laguerre_series(x, c: np.ndarray, alpha: int):
 
 
 def _series_eval(weights: dict, eta: float, x, w=None):
-    """e^{-(1-eta) x} sum_d phi_d(w) sum_q W_{d,q} L_q^{(|d|)}(x); w only read for d != 0."""
+    """e^{-(1-eta) x} sum_d phi_d(w) sum_q W_{d,q} L_q^{(|d|)}(x); w only read for d != 0.
+
+    Far out a high-degree series overflows where the Gaussian factor underflows and the value
+    is set to 0, so overflow is silenced; a non-finite value the zeroing leaves is warned of."""
     total = None
-    for d, wd in weights.items():
-        term = _laguerre_series(x, wd, abs(d))
-        if d:
-            term = term * (w**d if d > 0 else np.conj(w) ** -d)
-        total = term if total is None else total + term
-    total, gauss = np.asarray(total), np.exp(-(1.0 - eta) * x)
-    total *= gauss  # in place: a pass over N samples holds no extra N-array
-    np.copyto(total, 0, where=gauss == 0)  # far out a high-degree series overflows there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d, wd in weights.items():
+            term = _laguerre_series(x, wd, abs(d))
+            if d:
+                term = term * (w**d if d > 0 else np.conj(w) ** -d)
+            total = term if total is None else total + term
+        total, gauss = np.asarray(total), np.exp(-(1.0 - eta) * x)
+        total *= gauss  # in place: a pass over N samples holds no extra N-array
+    np.copyto(total, 0, where=gauss == 0)
+    if not np.isfinite(total.sum()):  # a reduction, not an N-sized mask
+        warnings.warn("kernel series overflowed where its Gaussian factor is nonzero", RuntimeWarning)
     return total
 
 

@@ -217,30 +217,13 @@ class CoreState:
     def fock_vector(self, n_max: int) -> np.ndarray:
         """Amplitudes <n|psi> for n < n_max (exact per component)."""
         c = np.asarray(self.coeffs, dtype=complex)
-        g = self.gaussian_frame
-        if g.is_identity:
-            v = np.zeros(n_max, dtype=complex)
-            v[: min(n_max, c.size)] = c[:n_max]
-            return v
-        u = gaussian_matrix(n_max, c.size, g)
-        return u @ c
+        return gaussian_matrix(n_max, c.size, self.gaussian_frame) @ c
 
     def to_state(self, dim: int) -> TruncatedState:
-        v = self.fock_vector(dim)
-        deficit = max(0.0, 1.0 - float(np.vdot(v, v).real))
-        if deficit > DEFICIT_TOL:
-            need = dim
-            while need < _MAX_AUTO_DIM:
-                need *= 2
-                w = self.fock_vector(need)
-                if 1.0 - float(np.vdot(w, w).real) <= DEFICIT_TOL:
-                    break
-            raise CutoffError(
-                f"core state truncation loses {deficit:.3e} > {DEFICIT_TOL:.1e}; "
-                f"try dim={need}",
-                suggested_dim=need,
-            )
-        return TruncatedState(np.outer(v, v.conj()), trace_deficit=deficit)
+        """|psi><psi| on dim levels: ``apply_gaussian`` of the frame to the core
+        projector at out_dim=dim, so a cut past DEFICIT_TOL raises its CutoffError."""
+        c = np.asarray(self.coeffs, dtype=complex)
+        return apply_gaussian(TruncatedState(np.outer(c, c.conj())), self.gaussian_frame, out_dim=dim)
 
 
 class TargetOperator:
@@ -347,7 +330,7 @@ def make_squeezed_thermal(r: float, theta: float, purity: float, dim: int) -> Tr
     while th.trace_deficit > DEFICIT_TOL / 100 and work < _MAX_AUTO_DIM:
         work *= 2
         th = make_thermal(nbar, work)
-    big = apply_gaussian(th, g, out_dim=2 * work, deficit_tol=DEFICIT_TOL / 10)
+    big = apply_gaussian(th, g)
     block = big.matrix[:dim, :dim]
     deficit = max(0.0, 1.0 - float(np.real(np.trace(block))))
     if deficit > DEFICIT_TOL:
@@ -669,64 +652,75 @@ def _ladder_block(n_rows: int, m_cols: int, g: GaussianUnitaryParams) -> np.ndar
 
 
 def compose_gaussians(g1: GaussianUnitaryParams, g2: GaussianUnitaryParams):
-    """Rewrite G1 G2 as S(xi) D(beta) R(phi) up to a global phase.
+    """Rewrite G1 G2 as R(phi) S(xi) D(beta) up to a global phase; returns
+    (the parameters of S(xi) D(beta), phi).
 
     R(phi) = exp(-i phi n) is a Fock-diagonal rotation, so the extra
-    factor acts on a core vector as the phases e^{-i j phi}.  Working in
-    the Heisenberg picture, each G maps a -> A a + B a^dag + gamma with
-    |A|^2 - |B|^2 = 1; composition multiplies these affine maps and the
-    (xi, beta, phi) triple is read back from the composite.
+    factor commutes with every Fock projector and only multiplies |n> by
+    e^{-i n phi}.  Working in the Heisenberg picture, each G maps
+    a -> A a + B a^dag + gamma with |A|^2 - |B|^2 = 1; composition
+    multiplies these affine maps.  The composite reads back as
+    S(xi') D(beta') R(phi) with phi = -arg A, and
+    S(xi') D(beta') R(phi) = R(phi) S(xi' e^{-2i phi}) D(beta' e^{i phi}).
     """
     a1, b1, c1 = _affine(g1)
     a2, b2, c2 = _affine(g2)
     a = a1 * a2 + b1 * np.conj(b2)
     b = a1 * b2 + b1 * np.conj(a2)
     gamma = a1 * c2 + b1 * np.conj(c2) + c1
-    r = math.asinh(abs(b))
     phi = -cmath.phase(a)
-    if abs(b) > 0:
-        th = -cmath.phase(-b * cmath.exp(-1j * phi))
-    else:
-        th = 0.0
-    beta = np.conj(a) * gamma - b * np.conj(gamma)
-    beta_tilde = cmath.exp(-1j * phi) * beta
-    return GaussianUnitaryParams(r, th, complex(beta_tilde)), phi
+    th = -cmath.phase(-b * cmath.exp(-1j * phi)) if abs(b) > 0 else 0.0
+    beta = np.conj(a) * gamma - b * np.conj(gamma)  # beta' e^{i phi}
+    th = math.remainder(th - 2.0 * phi, 2.0 * math.pi)
+    return GaussianUnitaryParams(math.asinh(abs(b)), th, complex(beta)), phi
+
+
+def _rows_that_keep(state: TruncatedState, g: GaussianUnitaryParams, dim: int, tol: float):
+    """(d, u): the first d of dim, 2 dim, ... (at most _MAX_AUTO_DIM, the cap
+    if none) whose rows u = <n < d|G|m < state.dim> lose at most tol of the
+    state's trace.  The kept trace Tr(u rho u^dag) is read as
+    Re sum conj(u) (u rho), from d x state.dim arrays alone."""
+    while True:
+        u = gaussian_matrix(dim, state.dim, g)
+        if dim >= _MAX_AUTO_DIM or state.trace - float(np.vdot(u, u @ state.matrix).real) <= tol:
+            return dim, u
+        dim = min(2 * dim, _MAX_AUTO_DIM)
 
 
 def apply_gaussian(
-    state: TruncatedState,
-    g: GaussianUnitaryParams,
-    out_dim: int | None = None,
-    deficit_tol: float = DEFICIT_TOL,
+    state: TruncatedState, g: GaussianUnitaryParams, out_dim: int | None = None
 ) -> TruncatedState:
     """G rho G^dag truncated to out_dim, with exact trace accounting.
 
     The congruence U rho U^dag with the rectangular block of exact matrix
     elements transforms the truncated input exactly; the only new leakage
     is output mass above out_dim, which is added to the trace deficit.
-    With ``out_dim=None`` the cutoff grows until the new leakage is below
-    deficit_tol / 10.
+    With ``out_dim=None`` the cutoff is the first of max(2 dim, 32) doubled
+    whose new leakage is at most DEFICIT_TOL / 10.  This is the one place a
+    Gaussian-built state is truncated (``CoreState.to_state`` and
+    ``make_squeezed_thermal`` come through it): a total deficit past
+    DEFICIT_TOL raises CutoffError with ``suggested_dim`` the first doubled
+    cutoff, at most _MAX_AUTO_DIM, whose deficit fits.  The cutoffs are
+    sized on the rows of U alone, so no matrix is formed past the cutoff
+    used.
     """
-    auto = out_dim is None
-    if not auto and (type(out_dim) is not int or out_dim < 1):
+    if out_dim is None:
+        dim, u = _rows_that_keep(state, g, max(2 * state.dim, 32), DEFICIT_TOL / 10)
+    elif type(out_dim) is not int or out_dim < 1:
         raise DomainError(f"out_dim must be a positive integer, got {out_dim!r}")
-    dim = max(2 * state.dim, 32) if auto else out_dim
-    tr_in = state.trace
-    while True:
-        u = gaussian_matrix(dim, state.dim, g)
-        out = u @ state.matrix @ u.conj().T
-        out = 0.5 * (out + out.conj().T)
-        leak = max(0.0, tr_in - float(np.real(np.trace(out))))
-        if auto and leak > deficit_tol / 10 and dim < _MAX_AUTO_DIM:
-            dim *= 2
-            continue
-        break
-    deficit = state.trace_deficit + leak
-    if deficit > deficit_tol:
+    else:
+        dim, u = out_dim, gaussian_matrix(out_dim, state.dim, g)
+    out = u @ state.matrix @ u.conj().T
+    out = 0.5 * (out + out.conj().T)
+    deficit = state.trace_deficit + max(0.0, state.trace - float(np.real(np.trace(out))))
+    if deficit > DEFICIT_TOL:
+        need = dim
+        if dim < _MAX_AUTO_DIM:
+            tol = DEFICIT_TOL - state.trace_deficit
+            need, _ = _rows_that_keep(state, g, min(2 * dim, _MAX_AUTO_DIM), tol)
         raise CutoffError(
-            f"apply_gaussian deficit {deficit:.3e} exceeds {deficit_tol:.1e}; "
-            f"try out_dim={2 * dim}",
-            suggested_dim=2 * dim,
+            f"truncation to {dim} levels loses {deficit:.3e} > {DEFICIT_TOL:.1e}; try {need} levels",
+            suggested_dim=need,
         )
     return TruncatedState(out, trace_deficit=deficit)
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import laguerre as lag
-from scipy.special import erf
 
 from .dhd import SampleBatch, radial_density, sample_q, translate_samples
 from .errors import CutoffError, DomainError, InfeasiblePrecisionError
@@ -290,7 +289,8 @@ def choose_witness_params(
     Uses exact radial quadrature moments of the kernel under the known
     simulated state (the witness kernel is radial): among the pairs of
     WITNESS_P_VALUES x WITNESS_ETA_GRID whose predicted CLT failure
-    probability meets WITNESS_DELTA_TARGET, pick the one with the largest
+    probability (``estimate_from_moments`` at those moments) meets
+    WITNESS_DELTA_TARGET, pick the one with the largest
     predicted certification margin (E[h] - (1/2 + eps)) / se.  No sample
     data enters the choice.
     """
@@ -300,16 +300,14 @@ def choose_witness_params(
     for p in WITNESS_P_VALUES:
         for eta in WITNESS_ETA_GRID:
             cfg = EstimatorConfig(op, p, float(eta), epsilon, delta=None, bound_method=CLT)
-            lam = cfg.lam()
-            if lam <= 0:
+            if cfg.lam() <= 0:
                 continue
             vals = kernel_values(s, cfg)  # recentered kernel h on the radii
             e1 = float(vals @ wq)
             e2 = float(vals**2 @ wq)
             var = max(e2 - e1 * e1, 1e-300)
             se = math.sqrt(var / n_samples)
-            pred_delta = 1.0 - float(erf(lam / (math.sqrt(2.0) * se)))
-            if pred_delta > WITNESS_DELTA_TARGET:
+            if 1.0 - estimate_from_moments(cfg, n_samples, e1, var).confidence > WITNESS_DELTA_TARGET:
                 continue
             z_cert = (e1 - (0.5 + epsilon)) / se
             if best is None or z_cert > best[0]:

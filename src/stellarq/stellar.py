@@ -253,9 +253,10 @@ def _converged(res, bounds) -> bool:
 
 
 def max_fidelity_rank_bounded(
-    target: CoreState, k: int, restarts: int = 32, seed: int = 0
+    target: CoreState, k: int, restarts: int = 32, seed: int = 0, *, _starts=()
 ) -> ProfilePoint:
-    """Best achievable fidelity with ``target`` using states of rank < k."""
+    """Best achievable fidelity with ``target`` using states of rank < k
+    (``_starts``: more search points, which only ``fidelity_profile`` passes)."""
     if k < 1:
         raise DomainError("k must be a positive integer")
     coeffs = np.asarray(target.coeffs, dtype=complex)
@@ -268,7 +269,7 @@ def max_fidelity_rank_bounded(
     bounds = ((-_R_MAX, _R_MAX), (-np.inf, np.inf), (-_B_MAX, _B_MAX), (-_B_MAX, _B_MAX))
     rng = np.random.default_rng(seed)
     report = []
-    for x0 in _restart_points(rng, restarts, k >= coeffs.size):
+    for x0 in [*_restart_points(rng, restarts, k >= coeffs.size), *_starts]:
         res = minimize(
             neg_obj,
             x0,
@@ -302,15 +303,9 @@ def max_fidelity_rank_bounded(
         x = _canonical(x)
     core_g = GaussianUnitaryParams(x[0], math.remainder(x[1], 2.0 * math.pi), complex(x[2], x[3]))
     g0 = core_g
-    frame = target.gaussian_frame
-    if not frame.is_identity:
-        # core_g G_f^-1 = R(phi) S(xi e^{-2i phi}) D(beta e^{i phi}); drop R(phi)
-        g, phi = compose_gaussians(core_g, frame.inverse())
-        g0 = GaussianUnitaryParams(
-            g.squeeze_r,
-            math.remainder(g.squeeze_theta - 2.0 * phi, 2.0 * math.pi),
-            g.displacement * cmath.exp(1j * phi),
-        )
+    if not target.gaussian_frame.is_identity:
+        # core_g G_f^-1 = R(phi) S(xi) D(beta), and R(phi) commutes with P_{<k}
+        g0, _ = compose_gaussians(core_g, target.gaussian_frame.inverse())
     # the search ran on the truncated core path; certify the winner on the
     # independent full evaluation of the prepared target
     v = _prepared_vector(target)
@@ -344,13 +339,17 @@ def k_robustness(target: CoreState, k: int, restarts: int = 32, seed: int = 0) -
 def fidelity_profile(
     target: CoreState, k_max: int, restarts: int = 32, seed: int = 0
 ) -> list:
-    """Profile points for k = 1..k_max (rank bounds 0..k_max-1)."""
+    """Profile points for k = 1..k_max (rank bounds 0..k_max-1).
+
+    Each k also starts where k - 1 won, and F_k >= F_{k-1} there (a rank
+    < k - 1 state has rank < k), so the ceilings found never fall with k."""
     if k_max < 1:
         raise DomainError("k_max must be a positive integer")
-    return [
-        max_fidelity_rank_bounded(target, k, restarts=restarts, seed=seed)
-        for k in range(1, k_max + 1)
-    ]
+    points = []
+    for k in range(1, k_max + 1):
+        won = [max(points[-1].optimizer_report, key=lambda r: r["objective"])["params"]] if points else []
+        points.append(max_fidelity_rank_bounded(target, k, restarts=restarts, seed=seed, _starts=won))
+    return points
 
 
 def profile_to_csv(points, path) -> None:

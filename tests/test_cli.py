@@ -188,6 +188,25 @@ def test_far_displaced_core_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spec, dim, want",
+    [
+        ('{"core":{"coeffs":[0.3,1],"r":2.5,"theta":0.7,"beta":[0.1,0],"dim":%d}}', 64, 2048),
+        # twice the out_dim, 32 levels, still loses too much here; 128 levels are needed
+        ('{"pipeline":[{"fock":{"n":1,"dim":4}},{"gaussian":{"r":1.25,"beta":[0.5,0],"out_dim":%d}}]}', 16, 128),
+    ],
+    ids=["core", "gaussian-step"],
+)
+def test_cutoff_error_names_a_dim_that_runs(spec, dim, want, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert run(tmp_path, "state", "--spec", spec % dim, "--out", out) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["suggested_dim"]) == ("cutoff-error", want)
+    assert not out.exists()
+    assert run(tmp_path, "state", "--spec", spec % want, "--out", out) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == want
+
+
 def test_optimize_params_row(tmp_path):
     report = tmp_path / "row.json"
     rc = run(tmp_path, "optimize-params", "--n", 1, "--epsilon", 0.3, "--delta", 0.05,

@@ -103,9 +103,11 @@ def test_kernel_g_diagonal_is_radial():
             )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_kernel_g_no_overflow_at_large_argument():
     # degree-65 series far out, where the Gaussian factor underflows to 0;
-    # at |z| = 1e3 the series itself overflows to inf
+    # at |z| = 1e3 the series itself overflows to inf, silently, since the
+    # value is 0 there
     for k, l in ((64, 64), (0, 64), (80, 3)):
         for z in (40.0 + 0j, 45.0 * np.exp(0.3j), 50j, 1e3 + 0j, 1e3 * np.exp(0.3j), 1e3j):
             assert est.kernel_g(k, l, 2, z, 0.5) == 0
@@ -511,3 +513,11 @@ def test_optimize_params_table_rows():
     with pytest.raises(InfeasiblePrecisionError) as info:
         est.optimize_params(2, 1e-30, 0.05)
     assert info.value.details["p_max"] == est.OPTIMIZE_P_MAX == 8
+
+
+def test_series_overflow_where_gaussian_is_nonzero_stays_visible():
+    # a weight of 1e308 times e^{-(1 - eta) x} = e^5 at x = -10 overflows where
+    # the Gaussian factor is nonzero: the inf is kept and warned of, not zeroed
+    with pytest.warns(RuntimeWarning, match="overflowed"):
+        vals = est._series_eval({0: np.array([1e308])}, 0.5, np.array([0.0, -10.0]))
+    assert vals[0] == 1e308 and vals[1] == np.inf

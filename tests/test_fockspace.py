@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,6 +373,79 @@ def test_apply_gaussian_inverse_params():
     fwd = fs.apply_gaussian(st, g, out_dim=80)
     back = fs.apply_gaussian(fwd, g.inverse(), out_dim=96)
     np.testing.assert_allclose(back.matrix[:6, :6], st.matrix, atol=1e-9)
+
+
+def _framed_core(r, th, beta):
+    return fs.CoreState.from_unnormalized([0.3, 1.0], fs.GaussianUnitaryParams(r, th, beta)).to_state
+
+
+@pytest.mark.parametrize(
+    "build, dim, want",
+    [
+        # framed (0.3, 1) cores
+        pytest.param(_framed_core(1.0, 0.7, 2.0), 64, 128, id="core-r1-beta2"),
+        pytest.param(_framed_core(2.0, 0.0, 0.0), 32, 512, id="core-r2"),
+        # a gaussian pipeline step, at which twice the out_dim still loses too much
+        pytest.param(
+            lambda d: fs.apply_gaussian(fs.make_fock(1, 4), fs.GaussianUnitaryParams(1.25, 0.0, 0.5), out_dim=d),
+            16, 128, id="step",
+        ),
+    ],
+)
+def test_cutoff_error_suggests_the_first_doubled_cutoff_that_fits(build, dim, want):
+    with pytest.raises(CutoffError) as err:
+        build(dim)
+    assert err.value.details["suggested_dim"] == want
+    assert build(want).trace_deficit <= fs.DEFICIT_TOL
+    with pytest.raises(CutoffError):
+        build(want // 2)
+
+
+def test_cutoff_search_forms_no_matrix_past_the_cutoff():
+    # S(2)|1> needs 512 levels; one 512 x 512 complex matrix takes 4 MB, and the
+    # search reads the kept trace from the 512 x 2 rows alone
+    core = fs.CoreState.from_unnormalized([0.3, 1.0], fs.GaussianUnitaryParams(2.0, 0.0, 0.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CutoffError):
+            core.to_state(32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 512 * 16 / 8
+
+
+def test_to_state_is_the_projector_on_the_fock_vector():
+    # a framed core agrees with the outer product of its amplitudes, and a
+    # frameless one is that outer product, padded with zeros
+    core = fs.CoreState.from_unnormalized([0.3, 1.0], fs.GaussianUnitaryParams(1.0, 0.7, 2.0))
+    v = core.fock_vector(128)
+    st = core.to_state(128)
+    np.testing.assert_allclose(st.matrix, np.outer(v, v.conj()), rtol=0, atol=1e-15)
+    assert st.trace_deficit == pytest.approx(1.0 - np.vdot(v, v).real, abs=1e-15)
+    bare = fs.CoreState.from_unnormalized([1.0, 0.5j, -0.25])
+    c = np.zeros(8, dtype=complex)
+    c[:3] = bare.coeffs
+    assert np.array_equal(bare.to_state(8).matrix, np.outer(c, c.conj()))
+    assert np.array_equal(bare.fock_vector(8), c)
+
+
+def test_compose_gaussians_puts_the_rotation_first():
+    # G1 G2 |c> = R(phi) S(xi) D(beta) |c> up to a global phase, R(phi) = e^{-i phi n}
+    rng = np.random.default_rng(3)
+    c = rng.normal(size=3) + 1j * rng.normal(size=3)
+    c /= np.linalg.norm(c)
+    n = np.arange(40)
+    for _ in range(5):
+        g1, g2 = (
+            fs.GaussianUnitaryParams(rng.uniform(0, 0.4), rng.uniform(-3, 3), complex(*rng.uniform(-0.6, 0.6, 2)))
+            for _ in range(2)
+        )
+        g, phi = fs.compose_gaussians(g1, g2)
+        want = fs.gaussian_matrix(40, 120, g1) @ (fs.gaussian_matrix(120, 3, g2) @ c)
+        got = np.exp(-1j * phi * n) * (fs.gaussian_matrix(40, 3, g) @ c)
+        overlap = np.vdot(got, want)
+        np.testing.assert_allclose(want, got * overlap / abs(overlap), rtol=0, atol=1e-12)
 
 
 def test_husimi_q():

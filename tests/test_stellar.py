@@ -39,6 +39,17 @@ def test_profile_monotone():
     assert vals[-1] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_profile_monotone_for_a_large_core():
+    # fock(25)'s seeded restarts alone find 0.0387 at k = 2 and 0.1676 at
+    # k = 4, below the k = 1 and k = 3 ceilings; the start at the point that
+    # won at k - 1 lifts both
+    prof = stellar.fidelity_profile(fs.CoreState.fock(25), 6, restarts=32, seed=0)
+    vals = [p.max_fidelity for p in prof]
+    assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+    np.testing.assert_allclose(vals, [0.0203, 0.0425, 0.2131, 0.2131, 0.2490, 0.2798], rtol=0, atol=5e-5)
+    assert [len(p.optimizer_report) for p in prof] == [33] + [34] * 5
+
+
 def test_k_robustness():
     r = stellar.k_robustness(fs.CoreState.fock(1), 1, restarts=16)
     assert r == pytest.approx(math.sqrt(1 - GAUSS_BOUND_ONE), abs=1e-4)

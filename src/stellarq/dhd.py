@@ -31,7 +31,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import CutoffError, DomainError
-from .fockspace import GaussianUnitaryParams, TruncatedState, apply_gaussian
+from .fockspace import DEFICIT_TOL, GaussianUnitaryParams, TruncatedState, apply_gaussian
 from .specfun import log_factorial
 
 __all__ = [
@@ -192,7 +192,7 @@ def sample_q(
     """
     if n_samples < 0:
         raise DomainError("n_samples must be nonnegative")
-    if state.trace_deficit > 1e-6:
+    if state.trace_deficit > DEFICIT_TOL:
         raise CutoffError(
             f"state trace deficit {state.trace_deficit:.3e} too large to sample faithfully"
         )

@@ -319,31 +319,20 @@ def make_squeezed_thermal(r: float, theta: float, purity: float, dim: int) -> Tr
 
     The squeezed thermal family is the standard one-parameter impurity
     model whose output purity equals the requested preparation purity
-    exactly (unitaries preserve purity).
+    exactly (unitaries preserve purity).  The thermal state is cut at the
+    first of max(2 dim, 32) doubled that drops at most DEFICIT_TOL / 100,
+    and ``apply_gaussian`` squeezes it at out_dim=dim, so a cut past
+    DEFICIT_TOL raises its CutoffError.
     """
     if not 0.0 < purity <= 1.0:
         raise DomainError(f"purity must lie in (0, 1], got {purity}")
     nbar = (1.0 / purity - 1.0) / 2.0
-    g = GaussianUnitaryParams(r, theta, 0j)
     work = max(2 * dim, 32)
     th = make_thermal(nbar, work)
     while th.trace_deficit > DEFICIT_TOL / 100 and work < _MAX_AUTO_DIM:
         work *= 2
         th = make_thermal(nbar, work)
-    big = apply_gaussian(th, g)
-    block = big.matrix[:dim, :dim]
-    deficit = max(0.0, 1.0 - float(np.real(np.trace(block))))
-    if deficit > DEFICIT_TOL:
-        pops = np.real(np.diag(big.matrix))
-        tail = 1.0 - np.cumsum(pops)
-        ok = np.nonzero(tail <= DEFICIT_TOL / 2)[0]
-        need = int(ok[0]) + 1 if ok.size else 2 * big.dim
-        raise CutoffError(
-            f"squeezed-thermal truncation loses {deficit:.3e} > {DEFICIT_TOL:.1e}; "
-            f"try dim={need}",
-            suggested_dim=need,
-        )
-    return TruncatedState(block, trace_deficit=deficit)
+    return apply_gaussian(th, GaussianUnitaryParams(r, theta, 0j), out_dim=dim)
 
 
 def photon_subtract(state: TruncatedState) -> TruncatedState:
@@ -676,15 +665,18 @@ def compose_gaussians(g1: GaussianUnitaryParams, g2: GaussianUnitaryParams):
 
 
 def _rows_that_keep(state: TruncatedState, g: GaussianUnitaryParams, dim: int, tol: float):
-    """(d, u): the first d of dim, 2 dim, ... (at most _MAX_AUTO_DIM, the cap
-    if none) whose rows u = <n < d|G|m < state.dim> lose at most tol of the
-    state's trace.  The kept trace Tr(u rho u^dag) is read as
+    """(d, u): the first d of dim, 2 dim, ..., _MAX_AUTO_DIM whose rows
+    u = <n < d|G|m < state.dim> lose at most tol of the state's trace, or
+    (None, None) if none does.  The kept trace Tr(u rho u^dag) is read as
     Re sum conj(u) (u rho), from d x state.dim arrays alone."""
-    while True:
+    while tol >= 0:
         u = gaussian_matrix(dim, state.dim, g)
-        if dim >= _MAX_AUTO_DIM or state.trace - float(np.vdot(u, u @ state.matrix).real) <= tol:
+        if state.trace - float(np.vdot(u, u @ state.matrix).real) <= tol:
             return dim, u
+        if dim >= _MAX_AUTO_DIM:
+            break
         dim = min(2 * dim, _MAX_AUTO_DIM)
+    return None, None
 
 
 def apply_gaussian(
@@ -696,16 +688,22 @@ def apply_gaussian(
     elements transforms the truncated input exactly; the only new leakage
     is output mass above out_dim, which is added to the trace deficit.
     With ``out_dim=None`` the cutoff is the first of max(2 dim, 32) doubled
-    whose new leakage is at most DEFICIT_TOL / 10.  This is the one place a
+    whose new leakage is at most DEFICIT_TOL / 10, or at most what the
+    input's deficit leaves of DEFICIT_TOL if less.  This is the one place a
     Gaussian-built state is truncated (``CoreState.to_state`` and
     ``make_squeezed_thermal`` come through it): a total deficit past
     DEFICIT_TOL raises CutoffError with ``suggested_dim`` the first doubled
-    cutoff, at most _MAX_AUTO_DIM, whose deficit fits.  The cutoffs are
-    sized on the rows of U alone, so no matrix is formed past the cutoff
-    used.
+    cutoff, at most _MAX_AUTO_DIM, whose deficit fits, and with no
+    ``suggested_dim`` if none does (always so when the input's own deficit
+    exceeds DEFICIT_TOL).  The cutoffs are sized on the rows of U alone, so
+    no matrix is formed past the cutoff used, and none at all when the
+    automatic cutoff finds nothing that fits.
     """
+    fits = DEFICIT_TOL - state.trace_deficit  # the most new leakage the output can take
     if out_dim is None:
-        dim, u = _rows_that_keep(state, g, max(2 * state.dim, 32), DEFICIT_TOL / 10)
+        dim, u = _rows_that_keep(state, g, max(2 * state.dim, 32), min(DEFICIT_TOL / 10, fits))
+        if dim is None:
+            raise CutoffError(f"no cutoff up to {_MAX_AUTO_DIM} levels keeps the deficit within {DEFICIT_TOL:.1e}")
     elif type(out_dim) is not int or out_dim < 1:
         raise DomainError(f"out_dim must be a positive integer, got {out_dim!r}")
     else:
@@ -714,14 +712,11 @@ def apply_gaussian(
     out = 0.5 * (out + out.conj().T)
     deficit = state.trace_deficit + max(0.0, state.trace - float(np.real(np.trace(out))))
     if deficit > DEFICIT_TOL:
-        need = dim
-        if dim < _MAX_AUTO_DIM:
-            tol = DEFICIT_TOL - state.trace_deficit
-            need, _ = _rows_that_keep(state, g, min(2 * dim, _MAX_AUTO_DIM), tol)
-        raise CutoffError(
-            f"truncation to {dim} levels loses {deficit:.3e} > {DEFICIT_TOL:.1e}; try {need} levels",
-            suggested_dim=need,
-        )
+        lost = f"truncation to {dim} levels loses {deficit:.3e} > {DEFICIT_TOL:.1e}"
+        need, _ = _rows_that_keep(state, g, min(2 * dim, _MAX_AUTO_DIM), fits)
+        if need is None:
+            raise CutoffError(f"{lost}, as does every cutoff up to {_MAX_AUTO_DIM} levels")
+        raise CutoffError(f"{lost}; try {need} levels", suggested_dim=need)
     return TruncatedState(out, trace_deficit=deficit)
 
 

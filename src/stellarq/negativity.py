@@ -30,7 +30,7 @@ from .estimator import (
     kernel_values,
     radial_kernel,
 )
-from .fockspace import GaussianUnitaryParams, TargetOperator, TruncatedState, gaussian_matrix
+from .fockspace import DEFICIT_TOL, GaussianUnitaryParams, TargetOperator, TruncatedState, gaussian_matrix
 
 __all__ = [
     "WitnessResult",
@@ -80,7 +80,7 @@ def omega_true(state: TruncatedState, alpha: complex, n: int) -> float:
     """
     if n < 1:
         raise DomainError("witness order n must be a positive integer")
-    if state.trace_deficit > 1e-6:
+    if state.trace_deficit > DEFICIT_TOL:
         raise CutoffError(
             f"trace deficit {state.trace_deficit:.3e} too large for a faithful witness value"
         )

@@ -61,6 +61,7 @@ from .fockspace import (
     CoreState,
     GaussianUnitaryParams,
     _LADDER_MAX_ENTRIES,
+    _MAX_AUTO_DIM,
     _ladder_block,
     compose_gaussians,
     gaussian_matrix,
@@ -102,7 +103,7 @@ def _prepared_vector(target: CoreState) -> np.ndarray:
 
     Frameless targets are exact.  A framed target's vector is cut at the
     first dim d whose dropped part, the amplitudes d..2d-1 of the vector
-    at dim 2d, has norm below 1e-12 (at 4096 levels otherwise).  The
+    at dim 2d, has norm below 1e-12 (at _MAX_AUTO_DIM levels otherwise).  The
     objective ||P w||^2 moves to first order by 2 Re <P w, P delta>,
     linearly in the dropped amplitude, so the cut moves it by about
     2e-12 at most.  The norm is taken of the dropped part itself:
@@ -117,7 +118,7 @@ def _prepared_vector(target: CoreState) -> np.ndarray:
         v = target.fock_vector(2 * dim)
         if np.linalg.norm(v[dim:]) < _TAIL_TOL:
             return v[:dim]
-        if 2 * dim >= 4096:
+        if 2 * dim >= _MAX_AUTO_DIM:
             return v
         dim *= 2
 

@@ -194,8 +194,9 @@ def test_far_displaced_core_exits_2(tmp_path, capsys):
         ('{"core":{"coeffs":[0.3,1],"r":2.5,"theta":0.7,"beta":[0.1,0],"dim":%d}}', 64, 2048),
         # twice the out_dim, 32 levels, still loses too much here; 128 levels are needed
         ('{"pipeline":[{"fock":{"n":1,"dim":4}},{"gaussian":{"r":1.25,"beta":[0.5,0],"out_dim":%d}}]}', 16, 128),
+        ('{"squeezed_thermal":{"r":1.0,"purity":0.9,"dim":%d}}', 32, 64),
     ],
-    ids=["core", "gaussian-step"],
+    ids=["core", "gaussian-step", "squeezed-thermal"],
 )
 def test_cutoff_error_names_a_dim_that_runs(spec, dim, want, tmp_path, capsys):
     out = tmp_path / "out.json"

@@ -44,7 +44,15 @@ def test_squeezed_thermal_purity():
     assert vac.matrix[0, 0].real == pytest.approx(1.0)
     pure = fs.make_squeezed_thermal(fs.db_to_r(3.0), 0.0, 1.0, 32)
     assert pure.purity == pytest.approx(1.0, abs=1e-9)
-    mixed = fs.make_squeezed_thermal(fs.db_to_r(3.0), 0.0, 0.95, 32)
+    # the fig-5 state: 32 rows of squeeze matrix elements on a 64-level thermal
+    # state, with no larger block formed
+    tracemalloc.start()
+    try:
+        mixed = fs.make_squeezed_thermal(fs.db_to_r(3.0), 0.0, 0.95, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 800_000
     assert mixed.purity == pytest.approx(0.95, abs=1e-6)
     assert mixed.trace_deficit < 1e-8
     with pytest.raises(CutoffError):
@@ -390,11 +398,38 @@ def _framed_core(r, th, beta):
             lambda d: fs.apply_gaussian(fs.make_fock(1, 4), fs.GaussianUnitaryParams(1.25, 0.0, 0.5), out_dim=d),
             16, 128, id="step",
         ),
+        # a squeezed thermal state, whose population tail once suggested 52 levels
+        pytest.param(lambda d: fs.make_squeezed_thermal(1.0, 0.0, 0.9, d), 32, 64, id="squeezed-thermal"),
+        # S(4)|1> fits in no cutoff up to _MAX_AUTO_DIM, so none is suggested
+        pytest.param(
+            lambda d: fs.apply_gaussian(fs.make_fock(1, 4), fs.GaussianUnitaryParams(4.0), out_dim=d),
+            16, None, id="step-r4",
+        ),
+        pytest.param(
+            lambda d: fs.apply_gaussian(fs.make_fock(1, 4), fs.GaussianUnitaryParams(4.0)),
+            None, None, id="step-r4-automatic",
+        ),
+        # an input that already lost (1/3)^8 = 1.5e-4 fits in no cutoff either
+        pytest.param(
+            lambda d: fs.apply_gaussian(fs.make_thermal(0.5, 8), fs.GaussianUnitaryParams(0.5), out_dim=d),
+            16, None, id="lossy-input",
+        ),
     ],
 )
 def test_cutoff_error_suggests_the_first_doubled_cutoff_that_fits(build, dim, want):
-    with pytest.raises(CutoffError) as err:
-        build(dim)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CutoffError) as err:
+            build(dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if want is None:
+        assert "suggested_dim" not in err.value.details
+        # the automatic cutoff raises before forming any d x d output
+        # (one 1024 x 1024 complex matrix takes 16 MB)
+        assert dim is not None or peak < 1024 * 1024 * 16
+        return
     assert err.value.details["suggested_dim"] == want
     assert build(want).trace_deficit <= fs.DEFICIT_TOL
     with pytest.raises(CutoffError):

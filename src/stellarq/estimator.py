@@ -37,9 +37,9 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erf, erfinv
 
 from . import specfun
 from .errors import (
@@ -474,9 +474,13 @@ def achieved_delta(config: EstimatorConfig, n_samples: int) -> float:
 
 
 def clt_required_samples(sigma_hat: float, epsilon: float, delta: float, bias: float) -> int:
-    """CLT sizing: N with 1 - erf(lam sqrt(N / 2 sigma^2)) <= delta."""
+    """CLT sizing: N with erfc(lam sqrt(N / 2 sigma^2)) <= delta.
+
+    u = erfcinv(delta) comes from the normal tail, erfc(u) = 2 Phi(-u sqrt 2),
+    not from erfinv(1 - delta), where 1 - delta rounds at small delta.  0.5 delta
+    underflows to 0 only at delta = 5e-324, the least subnormal, and is floored there."""
     lam = _lambda(epsilon, bias)
-    u = float(erfinv(1.0 - delta))
+    u = -NormalDist().inv_cdf(max(0.5 * delta, math.ulp(0.0))) / math.sqrt(2.0)
     return int(math.ceil(2.0 * sigma_hat**2 * (u / lam) ** 2))
 
 
@@ -488,7 +492,7 @@ def estimate(batch, config: EstimatorConfig) -> ConfidenceEstimate:
     outcomes and the reported confidence is 1 - delta at half-width
     epsilon; with delta=None the achieved failure probability at the
     batch size is reported instead.  CLT method: half-width epsilon at
-    confidence 1 - (1 - erf(lam sqrt(N / 2 sigma_hat^2))), where
+    confidence 1 - erfc(lam sqrt(N / 2 sigma_hat^2)), where
     sigma_hat is the sample standard deviation of the kernel values;
     tighter but not analytic (the true variance is replaced by its
     estimate), and the only method available for non-diagonal targets.
@@ -557,7 +561,7 @@ def estimate_from_moments(
         )
     val = float(np.real(mean)) if config.is_diagonal else complex(mean)
     sig2 = max(variance, 1e-300)
-    delta_clt = 1.0 - float(erf(lam * math.sqrt(n / (2.0 * sig2))))
+    delta_clt = math.erfc(lam * math.sqrt(n / (2.0 * sig2)))
     return ConfidenceEstimate(
         value=val,
         half_width=config.epsilon,

@@ -474,6 +474,41 @@ def _squeeze_matrix_recurrence(n_rows: int, m_cols: int, r: float, th: float) ->
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
+# the largest H that _zero_diagonal_eigh diagonalizes through numpy's SVD: up to
+# about 700 levels that is faster than scipy's tridiagonal solver (12.9 against
+# 17.5 ms at 546) and needs no scipy.linalg import, which costs 0.2-0.4 s in a fresh
+# process; past it the tridiagonal solver wins (0.34 against 0.67 s at 2,048)
+_SVD_MAX_LEVELS = 700
+
+
+def _zero_diagonal_eigh(offdiag: np.ndarray) -> tuple:
+    """Eigenvalues and eigenvectors of the real symmetric tridiagonal H with zero
+    diagonal and off-diagonal ``offdiag``.
+
+    H only couples even indices to odd ones: H = [[0, B], [B^T, 0]] in that
+    order, with B[a, a] = offdiag[2a] and B[a, a - 1] = offdiag[2a - 1].  So
+    B = U diag(s) W^T gives the eigenpairs (+-s, (U, +-W) / sqrt 2), and each
+    column of U past W's gives (0, (U, 0)).  Above _SVD_MAX_LEVELS levels
+    scipy's ``eigh_tridiagonal`` solves H itself.
+    """
+    size = offdiag.size + 1
+    if size > _SVD_MAX_LEVELS:
+        from scipy.linalg import eigh_tridiagonal
+
+        return eigh_tridiagonal(np.zeros(size), offdiag)
+    even, odd = (size + 1) // 2, size // 2
+    b = np.zeros((even, odd))
+    b[np.arange(odd), np.arange(odd)] = offdiag[0::2]
+    b[np.arange(1, even), np.arange(even - 1)] = offdiag[1::2]
+    u, sv, wt = np.linalg.svd(b)
+    v = np.zeros((size, size))
+    v[0::2, :odd] = v[0::2, odd : 2 * odd] = u[:, :odd] / math.sqrt(2.0)
+    v[1::2, :odd] = wt.T / math.sqrt(2.0)
+    v[1::2, odd : 2 * odd] = -v[1::2, :odd]
+    v[0::2, 2 * odd :] = u[:, odd:]
+    return np.concatenate([sv, -sv, np.zeros(size - 2 * odd)]), v
+
+
 def _squeeze_matrix_sectors(n_rows: int, m_cols: int, r: float, th: float, pad: int) -> np.ndarray:
     """<n| S(xi) |m> of the squeeze generator truncated to pad levels, exactly.
 
@@ -483,14 +518,12 @@ def _squeeze_matrix_sectors(n_rows: int, m_cols: int, r: float, th: float, pad: 
     and tridiagonal, with s_j = (r/2) sqrt((n_j + 1)(n_j + 2)) above the
     diagonal; D = diag(i^j) turns it into D (iH) D^-1, H real symmetric
     tridiagonal with off-diagonal s_j, so with H = V Lambda V^T the sector
-    block of S(r) is (D V) e^{i Lambda} (D V)^dag.
+    block of S(r) is (D V) e^{i Lambda} (D V)^dag (``_zero_diagonal_eigh``).
     """
-    from scipy.linalg import eigh_tridiagonal
-
     out = np.zeros((n_rows, m_cols), dtype=complex)
     for p in (0, 1):
         n = np.arange(p, pad, 2)
-        lam, v = eigh_tridiagonal(np.zeros(n.size), 0.5 * r * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0)))
+        lam, v = _zero_diagonal_eigh(0.5 * r * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0)))
         dv = _QUARTER_TURNS[np.arange(n.size) % 4, None] * v
         rows, cols = dv[: (n_rows - p + 1) // 2], dv[: (m_cols - p + 1) // 2]
         out[p::2, p::2] = ((rows * np.exp(1j * lam)) @ cols.conj().T).real

@@ -7,8 +7,9 @@ past it every lookup raises DomainError rather than an IndexError.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -20,7 +21,7 @@ __all__ = [
 # ln(n!) for n <= 10_000: well past the Fock cutoffs, because bias-bound
 # arithmetic needs binomials such as C(n + p_n, n)
 _MAX_N = 10_000
-_LOG_FACTORIAL = gammaln(np.arange(_MAX_N + 1) + 1.0)
+_LOG_FACTORIAL = np.array([math.lgamma(n + 1.0) for n in range(_MAX_N + 1)])
 
 
 def log_factorial(n):

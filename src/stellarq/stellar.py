@@ -12,10 +12,11 @@ a bijection of Gaussian unitaries up to a left rotation, which commutes
 with P_{<k}; the search therefore runs on the bare core and maps its
 winner back with ``compose_gaussians``.
 
-The supremum is lower-bounded by multi-start L-BFGS-B over the polar
-parameters (r, theta, Re beta, Im beta) of xi = r e^{i theta}, with r
-signed so that xi = 0 is no boundary of the search, on the exact
-gradient of F = ||w||^2 with w = P_{<k} S(xi) u and u = D(beta) c:
+The supremum is lower-bounded by a multi-start projected BFGS ascent
+(``_ascend``) over the polar parameters (r, theta, Re beta, Im beta) of
+xi = r e^{i theta}, with r signed so that xi = 0 is no boundary of the
+search, on the exact gradient of F = ||w||^2 with w = P_{<k} S(xi) u and
+u = D(beta) c:
 
     dF/dRe beta = 2 Re <w, P S D (a^dag - a) c>
     dF/dIm beta = 2 Re <w, P S D i(a^dag + a) c>
@@ -36,11 +37,13 @@ vector: n D(beta) = D(beta)(a^dag + beta*)(a + beta)
 gives P S n u = P G (n + beta a^dag + beta* a + |beta|^2) c, and S commutes
 with its own generator, so P S K_theta u = P K_theta G c reads rows k
 and k + 1 of G c.  The winner is re-evaluated through ``gaussian_matrix``
-on the full prepared vector and must agree to 1e-8.  A restart counts as
-converged when L-BFGS-B says so, or when its line search fails at a point
-whose projected gradient is below 1e-6.  The per-restart record is kept
-because a local method can only certify what it found.  The optimizer
-also yields the optimal approximating state G^dag (P_{<k} G |psi> / ||.||).
+on the full prepared vector and must agree to 1e-8.  A restart has
+converged when its projected gradient falls to 1e-9 or a step raises F by
+at most 1e-12 relative; a step that finds no rise counts as converged only
+where the projected gradient is at most 1e-6, and 1,000 steps do not count.
+The per-restart record is kept because a local method can only certify
+what it found.  The optimizer also yields the optimal approximating state
+G^dag (P_{<k} G |psi> / ||.||).
 
 StellarPoly carries the holomorphic representation P(z) exp(S z^2 + D z)
 of a finite-rank pure state, on which photon subtraction acts as d/dz;
@@ -54,7 +57,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, OptimizerError, UndefinedSubtractionError
 from .fockspace import (
@@ -80,8 +82,11 @@ __all__ = [
 ]
 
 _TAIL_TOL = 1e-12
-# max norm of the projected gradient at which a failed line search counts as converged
-_STATIONARY_TOL = 1e-6
+# ascent stop rule (``_ascend``): projected-gradient and relative-rise tolerances,
+# the projected gradient at which a step that finds no rise counts as converged,
+# and the caps on steps and on evaluations per step
+_GTOL, _FTOL, _STATIONARY_TOL = 1e-9, 1e-12, 1e-6
+_MAX_ITER, _MAX_TRIALS = 1000, 20
 # search box: r in [-R_MAX, R_MAX] (signed, see _unsigned), Re beta and Im beta
 # in [-B_MAX, B_MAX]; theta is free
 _R_MAX, _B_MAX = 4.0, 6.0
@@ -182,7 +187,7 @@ def _objective(coeffs: np.ndarray, k: int):
 def _restart_points(rng: np.random.Generator, n_restarts: int, identity_optimal: bool) -> list:
     """Polar starts (r, theta, Re beta, Im beta).
 
-    L-BFGS-B is local, so the starts sit where rank-bounded optima lie:
+    The BFGS ascent is local, so the starts sit where rank-bounded optima lie:
     for Fock targets up to |5> every ceiling is reached at r <= 0.45 and
     |beta| <= 1.2.  Random starts take r in [0, 0.75] and beta uniform in
     the disk of radius 1.5; over the 15 Fock-ceiling entries each start
@@ -233,24 +238,80 @@ def _canonical(x) -> tuple:
     return r, th, abs(beta), 0.0
 
 
-def _converged(res, bounds) -> bool:
-    """L-BFGS-B's verdict, except that a line search that fails at a
-    stationary point counts as converged.
+def _projected_step(x, grad, lo, hi) -> float:
+    """Max norm of the ascent step x -> clip(x + grad) - x, which vanishes only
+    at a stationary point of F on the box [lo, hi]."""
+    return float(np.max(np.abs(np.clip(x + grad, lo, hi) - x)))
 
-    Near a maximum the objective is flat to rounding, and the line search
-    can then stop with an "ABNORMAL" exit at a point whose projected
-    gradient is below 1e-6 in max norm; that point is as good as one where
-    L-BFGS-B reports convergence.  r is signed (``_unsigned``), so every
-    face of the box is a true bound of the search and the projected
-    gradient vanishes only at a stationary point of F on the box.
+
+def _ascend(objective, x0, lo, hi) -> dict:
+    """Maximize F = objective(x)[0] on the box [lo, hi] from x0.
+
+    BFGS on a dense inverse Hessian H, projected onto the box.  The step
+    direction d is H grad over the coordinates that no outward gradient
+    holds on a face, and a trial step lands on clip(x + t d).  t starts at 1,
+    or at min(1, 1/||grad||) before the first BFGS update, and is halved
+    until F rises by at least 1e-4 of the first-order gain (Armijo).  A
+    first trial that passes is doubled while the slope along the step keeps
+    more than 0.9 of its starting value (the weak Wolfe curvature
+    condition), and the last doubling that still passes Armijo is taken.  A
+    step tries at most _MAX_TRIALS points.
+
+    The ascent has converged when the projected step (``_projected_step``)
+    is at most _GTOL, or when a step raises F by at most _FTOL relative.  It
+    also stops when no trial passes Armijo; near a maximum F is flat to
+    rounding, so that stop counts as converged only where the projected
+    step is at most _STATIONARY_TOL.  _MAX_ITER steps do not count as
+    converged.
     """
-    if res.success:
-        return True
-    if not str(res.message).startswith("ABNORMAL"):
-        return False
-    lo, hi = np.array(bounds).T
-    step = np.clip(res.x - res.jac, lo, hi) - res.x
-    return bool(np.max(np.abs(step)) <= _STATIONARY_TOL)
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    f, g = objective(x)
+    nfev, h, scaled, converged = 1, np.eye(x.size), False, False
+    for _ in range(_MAX_ITER):
+        if _projected_step(x, g, lo, hi) <= _GTOL:
+            converged = True
+            break
+        held = ((x <= lo) & (g < 0)) | ((x >= hi) & (g > 0))
+        d = h @ np.where(held, 0.0, g)
+        if held.any():  # the inverse of the free block of H^-1, by its Schur complement
+            d -= h[:, held] @ np.linalg.solve(h[np.ix_(held, held)], d[held])
+        d[held | ((x <= lo) & (d < 0)) | ((x >= hi) & (d > 0))] = 0.0
+        if g @ d <= 0.0:  # only by rounding in a near-singular H: fall back to the free gradient
+            d = np.where(held, 0.0, g)
+        t = 1.0 if scaled else min(1.0, 1.0 / float(np.linalg.norm(g)))
+        step, shrunk = None, False
+        for _ in range(_MAX_TRIALS):
+            x_new = np.clip(x + t * d, lo, hi)
+            if step is not None and np.array_equal(x_new, step[0]):
+                break  # the box stops the step from growing
+            f_new, g_new = objective(x_new)
+            nfev += 1
+            gain = float(g @ (x_new - x))
+            if f_new < f + 1e-4 * gain:
+                if step is not None:
+                    break
+                t, shrunk = 0.5 * t, True
+                continue
+            step = (x_new, f_new, g_new)
+            if shrunk or float(g_new @ (x_new - x)) <= 0.9 * gain:
+                break
+            t *= 2.0
+        if step is None:
+            converged = _projected_step(x, g, lo, hi) <= _STATIONARY_TOL
+            break
+        s, y = step[0] - x, g - step[2]
+        sy = float(s @ y)
+        if sy > 1e-12 * float(y @ y):
+            if not scaled:
+                h, scaled = np.eye(x.size) * (sy / float(y @ y)), True
+            v = np.eye(x.size) - np.outer(s, y) / sy
+            h = v @ h @ v.T + np.outer(s, s) / sy
+        rise = (step[1] - f) / max(abs(f), abs(step[1]), 1.0)
+        x, f, g = step
+        if rise <= _FTOL:
+            converged = True
+            break
+    return {"objective": float(f), "params": _unsigned(x), "converged": converged, "nfev": nfev}
 
 
 def max_fidelity_rank_bounded(
@@ -262,33 +323,14 @@ def max_fidelity_rank_bounded(
         raise DomainError("k must be a positive integer")
     coeffs = np.asarray(target.coeffs, dtype=complex)
     objective = _objective(coeffs, k)
-
-    def neg_obj(x):
-        f, grad = objective(x)
-        return -f, -grad
-
-    bounds = ((-_R_MAX, _R_MAX), (-np.inf, np.inf), (-_B_MAX, _B_MAX), (-_B_MAX, _B_MAX))
+    lo = np.array([-_R_MAX, -np.inf, -_B_MAX, -_B_MAX])
     rng = np.random.default_rng(seed)
-    report = []
-    for x0 in [*_restart_points(rng, restarts, k >= coeffs.size), *_starts]:
-        res = minimize(
-            neg_obj,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options=dict(ftol=1e-12, gtol=1e-9, maxiter=1000),
-        )
-        report.append(
-            {
-                "objective": -float(res.fun),
-                "params": _unsigned(res.x),
-                "converged": _converged(res, bounds),
-                "nfev": int(res.nfev),
-            }
-        )
+    report = [
+        _ascend(objective, x0, lo, -lo)
+        for x0 in [*_restart_points(rng, restarts, k >= coeffs.size), *_starts]
+    ]
     if not any(r["converged"] for r in report):
-        raise OptimizerError("no L-BFGS-B restart converged", restarts=len(report))
+        raise OptimizerError("no restart's projected BFGS ascent converged", restarts=len(report))
     # scheduling-independent selection: best objective, ties broken by
     # lexicographic parameter comparison
     best = max(report, key=lambda r: (r["objective"], tuple(-t for t in r["params"])))

@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -468,3 +472,25 @@ def test_cli_fuzz_exit_codes(argv, fuzz_dir):
         code = json.loads(err.getvalue())["error"]
         assert (code == "usage-error") == (rc == 64)
     assert not out.exists()
+
+
+def test_start_up_loads_no_scipy_submodule():
+    # scipy.optimize alone added about 0.4 s to every process's start-up; the
+    # ceiling search, the log-factorial table and the interval scalars need none,
+    # and neither does the unbalanced detection frame of the fig-5 state
+    heavy = ("scipy.special", "scipy.optimize", "scipy.linalg")
+    code = (
+        "import math, sys, stellarq, stellarq.cli\n"
+        f"heavy = {heavy!r}\n"
+        "print([m for m in heavy if m in sys.modules])\n"
+        "from stellarq import fockspace as fs, stellar\n"
+        "stellar.fidelity_profile(fs.CoreState.fock(2), 2)\n"
+        "r = fs.db_to_r(3.0)\n"
+        "fig5 = fs.photon_subtract(fs.make_squeezed_thermal(r, 0.0, 0.95, 32))\n"
+        "fs.apply_gaussian(fig5, fs.GaussianUnitaryParams(r, math.pi, 0j), out_dim=None)\n"
+        "print([m for m in heavy if m in sys.modules])\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["[]", "[]"]

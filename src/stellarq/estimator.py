@@ -479,6 +479,8 @@ def clt_required_samples(sigma_hat: float, epsilon: float, delta: float, bias: f
     u = erfcinv(delta) comes from the normal tail, erfc(u) = 2 Phi(-u sqrt 2),
     not from erfinv(1 - delta), where 1 - delta rounds at small delta.  0.5 delta
     underflows to 0 only at delta = 5e-324, the least subnormal, and is floored there."""
+    if not 0.0 < delta < 1.0:
+        raise DomainError("delta must lie in (0, 1)")
     lam = _lambda(epsilon, bias)
     u = -NormalDist().inv_cdf(max(0.5 * delta, math.ulp(0.0))) / math.sqrt(2.0)
     return int(math.ceil(2.0 * sigma_hat**2 * (u / lam) ** 2))

@@ -474,13 +474,6 @@ def _squeeze_matrix_recurrence(n_rows: int, m_cols: int, r: float, th: float) ->
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
-# the largest H that _zero_diagonal_eigh diagonalizes through numpy's SVD: up to
-# about 700 levels that is faster than scipy's tridiagonal solver (12.9 against
-# 17.5 ms at 546) and needs no scipy.linalg import, which costs 0.2-0.4 s in a fresh
-# process; past it the tridiagonal solver wins (0.34 against 0.67 s at 2,048)
-_SVD_MAX_LEVELS = 700
-
-
 def _zero_diagonal_eigh(offdiag: np.ndarray) -> tuple:
     """Eigenvalues and eigenvectors of the real symmetric tridiagonal H with zero
     diagonal and off-diagonal ``offdiag``.
@@ -488,14 +481,9 @@ def _zero_diagonal_eigh(offdiag: np.ndarray) -> tuple:
     H only couples even indices to odd ones: H = [[0, B], [B^T, 0]] in that
     order, with B[a, a] = offdiag[2a] and B[a, a - 1] = offdiag[2a - 1].  So
     B = U diag(s) W^T gives the eigenpairs (+-s, (U, +-W) / sqrt 2), and each
-    column of U past W's gives (0, (U, 0)).  Above _SVD_MAX_LEVELS levels
-    scipy's ``eigh_tridiagonal`` solves H itself.
+    column of U past W's gives (0, (U, 0)).
     """
     size = offdiag.size + 1
-    if size > _SVD_MAX_LEVELS:
-        from scipy.linalg import eigh_tridiagonal
-
-        return eigh_tridiagonal(np.zeros(size), offdiag)
     even, odd = (size + 1) // 2, size // 2
     b = np.zeros((even, odd))
     b[np.arange(odd), np.arange(odd)] = offdiag[0::2]

@@ -477,7 +477,8 @@ def test_cli_fuzz_exit_codes(argv, fuzz_dir):
 def test_start_up_loads_no_scipy_submodule():
     # scipy.optimize alone added about 0.4 s to every process's start-up; the
     # ceiling search, the log-factorial table and the interval scalars need none,
-    # and neither does the unbalanced detection frame of the fig-5 state
+    # and neither do the unbalanced detection frame of the fig-5 state and a
+    # squeeze block on a 2,458-level pad
     heavy = ("scipy.special", "scipy.optimize", "scipy.linalg")
     code = (
         "import math, sys, stellarq, stellarq.cli\n"
@@ -488,6 +489,7 @@ def test_start_up_loads_no_scipy_submodule():
         "r = fs.db_to_r(3.0)\n"
         "fig5 = fs.photon_subtract(fs.make_squeezed_thermal(r, 0.0, 0.95, 32))\n"
         "fs.apply_gaussian(fig5, fs.GaussianUnitaryParams(r, math.pi, 0j), out_dim=None)\n"
+        "fs.gaussian_matrix(200, 60, fs.GaussianUnitaryParams(2.0, 1.1, 0j))\n"
         "print([m for m in heavy if m in sys.modules])\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -446,6 +446,12 @@ def test_clt_sizing_holds_at_small_delta():
     # erfinv(1 - 1e-17) is inf, which overflowed the sizing
     assert math.isfinite(est.clt_required_samples(1.0, 0.3, 1e-17, 0.0))
     assert math.isfinite(est.clt_required_samples(1.0, 0.3, 1e-30, 0.0))
+    # the least subnormal halves to 0, which the tail is floored at
+    assert math.isfinite(est.clt_required_samples(1.0, 0.3, 5e-324, 0.0))
+    # no sample size gives certainty, and the floor must not invent one
+    for delta in (0.0, -1e-3, 1.0, math.nan):
+        with pytest.raises(DomainError):
+            est.clt_required_samples(1.0, 0.3, delta, 0.0)
 
 
 def test_estimate_reports_invariant():

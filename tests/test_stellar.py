@@ -202,17 +202,19 @@ def test_ascent_reaches_the_maximum_of_a_concave_quadratic():
     # start.  c puts the maximum at F = 0, and F is evaluated as the
     # difference of squares -(x - x_b)^T A (x + x_b - 2 x*), so that the
     # line search sees its rise near x_b above rounding.  The relative-rise
-    # stop ends a step that gains at most 1e-12, which pins F, and x only to
-    # about sqrt(1e-12 / 0.1) for the smallest eigenvalue 0.1 of A: over 1,000
-    # such draws x was off by up to 9e-8 and F by up to 2.3e-14
+    # stop pins F to _FTOL, and so x only to sqrt(_FTOL / lambda_min(A)),
+    # since F(x_b) - F(x) >= lambda_min |x - x_b|^2 on the box; over 1,000
+    # such draws x was off by at most 0.12 of that bound and F by 2.3e-14
     rng = np.random.default_rng(18)
     lo, hi = _box()
     for trial in range(200):
         q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
-        a = q @ np.diag(rng.uniform(0.1, 10.0, size=4)) @ q.T
+        eig = rng.uniform(0.1, 10.0, size=4)
+        a = q @ np.diag(eig) @ q.T
         star = rng.uniform(-3.0, 3.0, size=4)
         if trial % 2:
-            a = np.diag(rng.uniform(0.1, 10.0, size=4))
+            eig = rng.uniform(0.1, 10.0, size=4)
+            a = np.diag(eig)
             star *= 3.0  # r, Re beta and Im beta often past the box
         best = np.clip(star, lo, hi)
         x0 = rng.uniform(-3.0, 3.0, size=4)
@@ -220,9 +222,10 @@ def test_ascent_reaches_the_maximum_of_a_concave_quadratic():
             lambda x: (-(x - best) @ a @ (x + best - 2.0 * star), -2.0 * a @ (x - star)), x0, lo, hi
         )
         assert res["converged"]
-        assert -1e-12 <= res["objective"] <= 0.0
+        assert -stellar._FTOL <= res["objective"] <= 0.0
         want = stellar._unsigned(best)  # the report's r is unsigned
-        np.testing.assert_allclose(res["params"], want, rtol=0, atol=1e-6)
+        atol = math.sqrt(stellar._FTOL / eig.min())
+        np.testing.assert_allclose(res["params"], want, rtol=0, atol=atol)
 
 
 def test_canonical_params_keep_the_fidelity():

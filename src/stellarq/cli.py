@@ -49,8 +49,6 @@ def _write_json(path, payload) -> None:
 
 
 def _write_manifest(argv, inputs, outputs, seed, t0) -> None:
-    import scipy
-
     cfg = json.dumps(argv, sort_keys=True).encode()
     manifest = {
         "command": ["stellarq"] + list(argv),
@@ -59,7 +57,6 @@ def _write_manifest(argv, inputs, outputs, seed, t0) -> None:
         "versions": {
             "stellarq": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "inputs": {str(p): _sha256(p) for p in inputs},
@@ -253,11 +250,10 @@ def _explicit_params(args):
     return None if args.p is None else (args.p, args.eta)
 
 
-def _workers(args) -> int:
-    """--workers, 1 by default; must be a positive integer."""
-    if args.workers < 1:
-        raise UsageError(f"worker count must be a positive integer, got {args.workers}")
-    return args.workers
+def _at_least(flag: str, value, least: int) -> None:
+    """A count flag below its least value is a usage error; None is unset."""
+    if value is not None and value < least:
+        raise UsageError(f"{flag} must be at least {least}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +292,11 @@ def cmd_state(args, argv) -> int:
 
 def cmd_sample(args, argv) -> int:
     t0 = time.monotonic()
+    _at_least("--n", args.n, 0)
+    _at_least("--workers", args.workers, 1)
     state = _load_state(args.state)
     zeta = _complex_arg(args.zeta, "--zeta") if args.zeta else 0j
-    workers = _workers(args)
-    batch = dhd.sample_unbalanced(state, zeta, args.n, args.seed, n_workers=workers)
+    batch = dhd.sample_unbalanced(state, zeta, args.n, args.seed, n_workers=args.workers)
     dhd.save_csv(batch, args.out)
     print(
         json.dumps(
@@ -382,13 +379,9 @@ def cmd_optimize_params(args, argv) -> int:
 
 def cmd_profile(args, argv) -> int:
     t0 = time.monotonic()
-    for flag, value, least in (
-        ("--k-max", args.k_max, 1),
-        ("--restarts", args.restarts, 0),
-        ("--rank1-sweep", args.rank1_sweep, 1),
-    ):
-        if value is not None and value < least:
-            raise UsageError(f"{flag} must be at least {least}, got {value}")
+    _at_least("--k-max", args.k_max, 1)
+    _at_least("--restarts", args.restarts, 0)
+    _at_least("--rank1-sweep", args.rank1_sweep, 1)
     if args.rank1_sweep is not None:
         phis = np.linspace(0.0, math.pi / 2.0, args.rank1_sweep)
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -404,6 +397,8 @@ def cmd_profile(args, argv) -> int:
             raise UsageError("profile targets are fock:N or JSON coeffs")
         target = fs.CoreState.fock(payload) if kind == "fock" else payload
         k_max = target.stellar_rank if args.k_max is None else args.k_max
+        if k_max == 0:
+            raise UsageError("the target has stellar rank 0, so --k-max has no default; give --k-max 1 or more")
         points = stellar.fidelity_profile(target, k_max, restarts=args.restarts, seed=args.seed)
         stellar.profile_to_csv(points, args.out)
     print(json.dumps({"out": args.out}))
@@ -414,6 +409,8 @@ def cmd_profile(args, argv) -> int:
 def cmd_witness_scan(args, argv) -> int:
     t0 = time.monotonic()
     explicit = _explicit_params(args)
+    _at_least("--n-samples", args.n_samples, 1)
+    _at_least("--workers", args.workers, 1)
     state = _load_state(args.state)
     try:
         nx_ny, extent_s = args.grid.split(":")
@@ -439,9 +436,8 @@ def cmd_witness_scan(args, argv) -> int:
             negativity.choose_witness_params(state, args.n, args.epsilon, args.n_samples),
             bound_method=args.method,
         )
-    workers = _workers(args)
     results = negativity.witness_scan(
-        state, re, im, args.n, config, args.seed, args.n_samples, n_workers=workers
+        state, re, im, args.n, config, args.seed, args.n_samples, n_workers=args.workers
     )
     negativity.scan_to_csv(results, args.out)
     certified = sum(1 for r in results if r.negativity_certified)

@@ -368,21 +368,17 @@ def photon_add(state: TruncatedState) -> TruncatedState:
 # Laguerre closed form: one stable upward recurrence in the smaller Fock
 # index runs along every diagonal at once, and each element is assembled
 # in log magnitude so huge binomials against tiny Gaussian factors cannot
-# overflow.  The squeeze block runs a three-term recurrence over its
-# rows when the smaller index is at most 24, and otherwise by an exact
-# eigendecomposition of each parity sector of the generator, truncated to
-# adaptively padded, self-consistency-checked levels.  Against a
-# dim-900 to dim-1600 matrix-exponential oracle the recurrence is off by
-# 8.0e-14 on the 24 x 300 block at r = 0.5, 3.7e-11 at r = 1 and 3.0e-10
-# at r = 2, by 2.6e-14 on the 5 x 300 block at r = 2, and run along the
-# long index by 5.9e-13 on the 300 x 24 block at r = 1 and 8.5e-13 on the
-# 1000 x 24 block at r = 1.5.  With both sides large it amplifies a
-# parasitic solution: at r = 1 the 60 x 60 block is off by 2.5e-8 and
-# the 200 x 200 block by 1e14.  A block of 25 to 32 rows and more columns
-# runs it along its columns instead, within 1.8e-10 (r <= 3, 300 columns).
+# overflow.  A squeeze block with at most 32 rows or columns runs one
+# three-term recurrence over its rows in real arithmetic, from an exact row 0;
+# a larger one comes from an exact eigendecomposition of each parity sector of
+# the generator, truncated to adaptively padded, self-consistency-checked
+# levels.  Against that sector solve converged to 1e-13 (r <= 3, up to 600
+# columns or 1,000 rows) the recurrence is off by at most 8.6e-13 with up to
+# 24 rows, 3.5e-11 with 32 rows and 7.8e-12 on tall blocks of 32 columns.  With
+# both sides larger it amplifies a parasitic solution: 2.9e-10 at 36 rows and
+# 2.5e-9 at 40, and at r = 1 the 200 x 200 block is off by 1e14.
 
-_SQUEEZE_RECURRENCE_MAX = 24
-_SQUEEZE_WIDE_RECURRENCE_MAX = 32
+_SQUEEZE_RECURRENCE_MAX = 32
 _LAGUERRE_RESCALE = 2.0**512
 
 
@@ -445,30 +441,27 @@ def _displacement_matrix(n_rows: int, m_cols: int, beta: complex) -> np.ndarray:
 def _squeeze_matrix_recurrence(n_rows: int, m_cols: int, r: float, th: float) -> np.ndarray:
     """<n| S(xi) |m> by a three-term recurrence over rows, vectorized over m.
 
-    Row 0 has one term per entry,
-    <0|S|m> = sqrt(sech r) (e^{i th} tanh r / 2)^{m/2} sqrt(m!) / (m/2)!
-    for even m and 0 for odd m, assembled in log magnitude.  From
-    S a S^dag = cosh r a + e^{-i th} sinh r a^dag the later rows follow:
-    sqrt(n) <n|S|m> = sech r sqrt(m) <n-1|S|m-1>
-                      - e^{-i th} tanh r sqrt(n-1) <n-2|S|m>.
+    It runs in real arithmetic on S(r), since <n|S(r e^{i th})|m> =
+    e^{-i th (n - m) / 2} <n|S(r)|m>.  Row 0 is <0|S(r)|0> = sqrt(sech r)
+    times one cumulative product of the exact ratio
+    <0|S(r)|m+2> / <0|S(r)|m> = tanh r sqrt((m+1)/(m+2)), and 0 at odd m.
+    From S(r) a S(r)^dag = cosh r a + sinh r a^dag the later rows follow:
+    sqrt(n) <n|S|m> = sech r sqrt(m) <n-1|S|m-1> - tanh r sqrt(n-1) <n-2|S|m>.
     """
-    out = np.zeros((n_rows, m_cols), dtype=complex)
-    if r < 1e-300:  # S = 1 to double precision; log(tanh r / 2) would underflow
-        np.fill_diagonal(out, 1.0)
-        return out
+    if r < 1e-300:  # S = 1 to double precision
+        return np.eye(n_rows, m_cols, dtype=complex)
+    out = np.zeros((n_rows, m_cols))
     sech, t = 1.0 / math.cosh(r), math.tanh(r)
-    half = np.arange(0, m_cols, 2) // 2
-    lf = log_factorial(np.arange(m_cols))
-    logmag = half * math.log(t / 2.0) + 0.5 * lf[2 * half] - lf[half] + 0.5 * math.log(sech)
-    out[0, ::2] = np.exp(logmag + 1j * th * half)
+    m = np.arange(0, m_cols - 2, 2)
+    ratio = t * np.sqrt((m + 1.0) / (m + 2.0))
+    out[0, ::2] = np.cumprod(np.concatenate([[math.sqrt(sech)], ratio]))[: (m_cols + 1) // 2]
     up = sech * np.sqrt(np.arange(1, m_cols))
-    back = -cmath.exp(-1j * th) * t
     for n in range(1, n_rows):
         out[n, 1:] = up * out[n - 1, :-1]
         if n >= 2:
-            out[n] += back * math.sqrt(n - 1) * out[n - 2]
+            out[n] -= t * math.sqrt(n - 1) * out[n - 2]
         out[n] /= math.sqrt(n)
-    return out
+    return out * np.exp(-0.5j * th * np.subtract.outer(np.arange(n_rows), np.arange(m_cols)))
 
 
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
@@ -534,8 +527,6 @@ def _squeeze_matrix_padded(n_rows: int, m_cols: int, r: float, th: float) -> np.
 def _squeeze_block(n_rows: int, m_cols: int, r: float, th: float) -> np.ndarray:
     if min(n_rows, m_cols) <= _SQUEEZE_RECURRENCE_MAX:
         return _squeeze_matrix_recurrence(n_rows, m_cols, r, th)
-    if n_rows <= _SQUEEZE_WIDE_RECURRENCE_MAX < m_cols:  # S(xi)^T = S(-conj xi)
-        return _squeeze_matrix_recurrence(m_cols, n_rows, r, math.pi - th).T
     return _squeeze_matrix_padded(n_rows, m_cols, r, th)
 
 
@@ -570,11 +561,12 @@ def gaussian_matrix(n_rows: int, m_cols: int, g: GaussianUnitaryParams) -> np.nd
 
     Pure displacements and pure squeezes use their direct blocks.  The general
     case is a product over an inner index (``_compose``): D(gamma) @ S for more
-    than 24 rows and at most 24 columns, D(gamma) = S D(beta) S^dag, so that
-    the squeeze factor runs its row recurrence, and S @ D(beta) otherwise.  It
-    starts at the fewer levels that cover the squeeze factor's side or the
-    displacement factor's (about |c|^2 + |c| sqrt(2j + 1) past j for D(c));
-    each covered its side at once over r <= 2.3 and |beta| <= 12.5.
+    than 32 rows and at most 32 columns, D(gamma) = S D(beta) S^dag, and
+    S @ D(beta) otherwise, so that the squeeze factor runs its row recurrence
+    whenever one side of the block allows it.  It starts at the fewer levels
+    that cover the squeeze factor's side or the displacement factor's (about
+    |c|^2 + |c| sqrt(2j + 1) past j for D(c)); each covered its side at once
+    over r <= 2.3 and |beta| <= 12.5.
     """
     r, th, b = g.squeeze_r, g.squeeze_theta, complex(g.displacement)
     if r == 0.0:

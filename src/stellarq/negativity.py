@@ -294,6 +294,8 @@ def choose_witness_params(
     predicted certification margin (E[h] - (1/2 + eps)) / se.  No sample
     data enters the choice.
     """
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be a positive integer, got {n_samples}")
     op = witness_operator(n)
     s, wq = _radial_density(state)
     best = None

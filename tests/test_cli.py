@@ -352,6 +352,15 @@ _PROFILE = ["profile", "--k-max", "1", "--restarts", "1", "--out", "{out}"]
         pytest.param(["sample", "--state", "{state}", "--n", "10", "--out", "{out}"],
                      id="missing-required-flag"),
         pytest.param(["bogus", "--out", "{out}"], id="unknown-subcommand"),
+        pytest.param(["witness-scan", "--state", "{state}", "--n-samples", "0", "--out", "{out}"],
+                     id="scan-n-samples-zero"),
+        pytest.param(["witness-scan", "--state", "{state}", "--n-samples", "-5", "--out", "{out}"],
+                     id="scan-n-samples-negative"),
+        pytest.param(["sample", "--state", "{state}", "--n", "-3", "--seed", "1", "--out", "{out}"],
+                     id="sample-n-negative"),
+        # a rank-0 target leaves --k-max without a default
+        pytest.param(["profile", "--target", "fock:0", "--out", "{out}"], id="profile-rank0-target"),
+        pytest.param(["profile", "--target", '{"coeffs": [1]}', "--out", "{out}"], id="profile-rank0-core"),
     ],
 )
 def test_malformed_input_exits_64(argv, cli_inputs, tmp_path, capsys):
@@ -496,3 +505,31 @@ def test_start_up_loads_no_scipy_submodule():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_profile_of_a_rank0_target_names_its_rank(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    assert run(tmp_path, "profile", "--target", "fock:0", "--out", out) == 64
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "rank 0" in message and "--k-max" in message
+    assert run(tmp_path, "profile", "--target", "fock:0", "--k-max", 1, "--restarts", 2, "--out", out) == 0
+    assert out.read_text().count("\n") == 2
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # with scipy unimportable, optimize-params and a fig-5 state build still
+    # run and write their manifests
+    spec = '{"pipeline":[{"squeezed_thermal":{"db":3,"purity":0.95,"dim":32}},{"photon_subtract":{}}]}'
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from stellarq.cli import main\n"
+        f"assert main(['optimize-params', '--n', '1', '--epsilon', '0.3', '--out', {str(tmp_path / 'o.json')!r}]) == 0\n"
+        f"assert main(['state', '--spec', {spec!r}, '--out', {str(tmp_path / 's.json')!r}]) == 0\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    for name in ("o.json", "s.json"):
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert "scipy" not in manifest["versions"]

@@ -151,7 +151,7 @@ def test_gaussian_matrix_tall_block_far_from_the_origin():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.integers(25, 40),
+    st.integers(33, 48),
     st.integers(1, 24),
     st.floats(1e-3, 2.5),
     st.floats(-math.pi, math.pi),
@@ -159,7 +159,7 @@ def test_gaussian_matrix_tall_block_far_from_the_origin():
     st.floats(-6.0, 6.0),
 )
 def test_gaussian_matrix_orders_agree(n_rows, m_cols, r, th, br, bi):
-    # more than 24 rows compose D(gamma) @ S, 24 rows S @ D(beta); the two
+    # more than 32 rows compose D(gamma) @ S, 24 rows S @ D(beta); the two
     # share their first 24 rows
     g = fs.GaussianUnitaryParams(r, th, complex(br, bi))
     try:
@@ -181,12 +181,10 @@ def test_gaussian_matrix_orders_agree(n_rows, m_cols, r, th, br, bi):
     d = fs._displacement_matrix(inner, m_cols, g.displacement)
     assert np.max(np.linalg.norm(d[-16:], axis=0)) <= 1e-15
     want = fs._squeeze_matrix_padded(24, d.shape[0], r, th) @ d
-    # measured 2.7e-12 at worst over 300 draws, at r = 1.8, beta = -6 - 6i and
-    # 23 columns: the squeeze recurrence run along 2,560 rows is 1.0e-12 off
+    # measured 3.0e-13 on the tall rows and 4.5e-13 on the 24-row block at
+    # worst over 150 draws
     assert np.max(np.abs(tall[:24] - want)) <= 1e-11
-    # the 24-row block runs the squeeze recurrence over up to 24 rows and
-    # hundreds of columns, where it is less accurate: measured 8.2e-11
-    assert np.max(np.abs(fs.gaussian_matrix(24, m_cols, g) - want)) <= 1e-9
+    assert np.max(np.abs(fs.gaussian_matrix(24, m_cols, g) - want)) <= 1e-11
 
 
 def test_gaussian_matrix_tall_block_at_strong_squeezing():
@@ -224,7 +222,7 @@ def test_gaussian_matrix_rows_cover_a_far_displacement():
         # S|m> at r = 3 falls by tanh 3 every two levels, so 1e-13 is 6,000
         # levels away; |gamma| is about 140, so D(gamma)'s rows sit about
         # 20,000 levels up
-        pytest.param(30, 4, fs.GaussianUnitaryParams(3.0, 0.2, 7j), id="tall"),
+        pytest.param(40, 4, fs.GaussianUnitaryParams(3.0, 0.2, 7j), id="tall"),
         # the rows of S(3) as far away, and D(beta)|m> centred on |beta|^2 = 4,900 levels
         pytest.param(4, 4, fs.GaussianUnitaryParams(3.0, 0.2, 70.0), id="wide"),
     ],
@@ -251,39 +249,35 @@ def test_squeeze_recurrence_subnormal_r():
 
 
 @pytest.mark.parametrize(
-    "n_rows, m_cols, r, dim, bound",
+    "n_rows, m_cols, r, pad, bound",
     [
-        # 24 rows is the threshold; measured 3.7e-11
-        pytest.param(24, 300, 1.0, 900, 1e-10, id="24x300-r1.0"),
-        # run along the long index: measured 5.9e-13
-        pytest.param(300, 24, 1.0, 1000, 5e-12, id="300x24-r1.0"),
-        # measured 8.0e-14
-        pytest.param(24, 300, 0.5, 900, 5e-13, id="24x300-r0.5"),
+        # measured 2.4e-14, 3.2e-13 and 3.9e-13
+        pytest.param(24, 300, 0.5, 486, 1e-13, id="24x300-r0.5"),
+        pytest.param(24, 300, 1.0, 486, 2e-12, id="24x300-r1.0"),
+        pytest.param(24, 300, 2.0, 1093, 2e-12, id="24x300-r2.0"),
+        # measured 8.6e-13
+        pytest.param(24, 200, 1.35, 486, 2e-12, id="24x200-r1.35"),
+        # 32 rows is the threshold: measured 3.3e-11, and 2.9e-10 at 36 rows
+        # over r <= 3
+        pytest.param(32, 300, 1.75, 1093, 1e-10, id="32x300-r1.75"),
+        # tall blocks: measured 1.2e-13 and 7.8e-12
+        pytest.param(300, 24, 1.0, 486, 5e-13, id="300x24-r1.0"),
+        pytest.param(1000, 32, 1.75, 1639, 2e-11, id="1000x32-r1.75"),
     ],
 )
-def test_squeeze_recurrence_accuracy(n_rows, m_cols, r, dim, bound):
-    """The squeeze row recurrence at its threshold against an expm oracle."""
-    assert fs._SQUEEZE_RECURRENCE_MAX == 24
-    g = fs.GaussianUnitaryParams(r, 0.1, 0j)
-    got = fs._squeeze_matrix_recurrence(n_rows, m_cols, g.squeeze_r, g.squeeze_theta)
-    oracle = gaussian_block_expm(n_rows, m_cols, g, dim=dim)
-    assert np.max(np.abs(got - oracle)) <= bound
-
-
-@pytest.mark.parametrize("r", [1.0, 1.75])
-def test_squeeze_wide_block_runs_along_its_columns(r):
-    # 25 to 32 rows and more columns: the recurrence along the columns,
-    # measured 1.8e-10 at worst at 32 x 300 over r <= 3, where the one over
-    # the rows is 1.6e-8 off and the sector eigendecomposition's pads grow
-    # past 700 levels
-    assert fs._SQUEEZE_WIDE_RECURRENCE_MAX == 32
-    want = fs._squeeze_matrix_padded(32, 300, r, 0.7)
-    assert np.max(np.abs(fs._squeeze_block(32, 300, r, 0.7) - want)) <= 5e-10
+def test_squeeze_recurrence_accuracy(n_rows, m_cols, r, pad, bound):
+    """A block with a side of at most 32 against the parity-sector solve on pad
+    levels, which agrees with the one on 1.5 pad levels to 1e-13."""
+    assert fs._SQUEEZE_RECURRENCE_MAX == 32
+    want = fs._squeeze_matrix_sectors(n_rows, m_cols, r, 0.1, pad)
+    wider = fs._squeeze_matrix_sectors(n_rows, m_cols, r, 0.1, int(1.5 * pad))
+    assert np.max(np.abs(want - wider)) < 1e-13
+    assert np.max(np.abs(fs._squeeze_block(n_rows, m_cols, r, 0.1) - want)) <= bound
 
 
 @pytest.mark.parametrize("size, r", [(40, 1.0), (100, 1.5)])
 def test_squeeze_padded_blocks_against_expm(size, r):
-    # both sides above 24: gaussian_matrix diagonalizes the parity sectors of
+    # both sides above 32: gaussian_matrix diagonalizes the parity sectors of
     # the padded generator; the oracle exponentiates it on 6x the block's levels
     g = fs.GaussianUnitaryParams(r, 0.3, 0j)
     want = gaussian_block_expm(size, size, g, dim=6 * size)

@@ -82,6 +82,12 @@ def test_vacuum_never_certifies_200_runs():
     assert false_certs == 0
 
 
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_choose_witness_params_needs_samples(n_samples):
+    with pytest.raises(DomainError):
+        neg.choose_witness_params(fs.make_fock(1, 8), 1, 0.1, n_samples)
+
+
 def test_witness_scan(fig5_state):
     assert neg.witness_scan(fig5_state, [], [0.0], 1, None, seed=0, n_samples=10) == []
     # oracle first: the witness is comfortably certifiable at 0 and far

@@ -275,6 +275,15 @@ def test_squeeze_recurrence_accuracy(n_rows, m_cols, r, pad, bound):
     assert np.max(np.abs(fs._squeeze_block(n_rows, m_cols, r, 0.1) - want)) <= bound
 
 
+@pytest.mark.parametrize("r", [1.0, 1.75])
+def test_squeeze_wide_block_runs_along_its_columns(r):
+    # 32 rows and 300 columns: the recurrence covers the wide block too,
+    # measured 1.4e-11 and 3.3e-11 against the parity-sector solve
+    assert fs._SQUEEZE_RECURRENCE_MAX == 32
+    want = fs._squeeze_matrix_padded(32, 300, r, 0.7)
+    assert np.max(np.abs(fs._squeeze_block(32, 300, r, 0.7) - want)) <= 5e-10
+
+
 @pytest.mark.parametrize("size, r", [(40, 1.0), (100, 1.5)])
 def test_squeeze_padded_blocks_against_expm(size, r):
     # both sides above 32: gaussian_matrix diagonalizes the parity sectors of

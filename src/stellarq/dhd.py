@@ -94,13 +94,16 @@ class SampleBatch:
         )
 
 
-def _poisson_weights(s2: np.ndarray, dim: int) -> np.ndarray:
+def _poisson_weights(s2: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
     """|<k|z>|^2 = e^{-s^2} s^{2k} / k! at |z|^2 = s2, as an (s2.size, dim) array.
 
-    Built in log space, so no entry overflows at any radius or dim.
+    Built in log space, so no entry overflows at any radius or dim; written
+    into ``out`` when one is given.
     """
-    s2 = np.asarray(s2, dtype=float)
-    out = np.zeros((s2.size, dim))
+    s2 = np.asarray(s2, dtype=float).ravel()
+    if out is None:
+        out = np.empty((s2.size, dim))
+    out[:, 0] = 0.0
     with np.errstate(divide="ignore"):
         np.multiply.outer(np.log(s2), np.arange(1, dim), out=out[:, 1:])
     out -= s2[:, None]
@@ -108,15 +111,17 @@ def _poisson_weights(s2: np.ndarray, dim: int) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def radial_density(state: TruncatedState, s) -> np.ndarray:
+def radial_density(state: TruncatedState, s):
     """Density of |z| under Q_rho / Tr rho: 2 s sum_k rho_kk |<k|z>|^2 / Tr rho.
 
     The phase average of Q keeps only the diagonal of rho, which makes
-    |z|^2 the Gamma mixture that ``sample_q`` draws from.
+    |z|^2 the Gamma mixture that ``sample_q`` draws from.  A scalar s
+    gives a float, an array s an array of its shape.
     """
     s = np.asarray(s, dtype=float)
-    pops = _poisson_weights(s * s, state.dim) @ state.populations()
-    return 2.0 * s * pops / max(state.trace, 1e-300)
+    pops = (_poisson_weights(s * s, state.dim) @ state.populations()).reshape(s.shape)
+    vals = 2.0 * s * pops / max(state.trace, 1e-300)
+    return vals if s.ndim else float(vals)
 
 
 def _phase_table(state: TruncatedState):
@@ -152,21 +157,40 @@ def _horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _sample_block(cdf, table, step, block_index, count, seed):
-    """Draw ``count`` samples for one counter-isolated block.
+def _check_workers(n_workers) -> None:
+    if type(n_workers) is not int or n_workers < 1:
+        raise DomainError(f"n_workers must be a positive integer, got {n_workers!r}")
 
-    Returns the samples and the number of phase proposals made.
+
+def _sample_block(cdf, table, step, block_index, seed, out, work, spare):
+    """Fill ``out`` with the samples of one counter-isolated block.
+
+    ``work`` and ``spare`` are flat float buffers of BLOCK * max(dim, 2 cols)
+    and BLOCK * 2 cols entries for a (dim, cols) phase table.  ``work``
+    holds the Poisson weights and then the coefficient magnitudes;
+    ``spare`` the phase coefficients.  Each rejection round gathers the
+    rejected rows into whichever of the two the coefficients are not in.
+    Returns the number of phase proposals made.
     """
+    count = out.size
     gen = Generator(Philox(key=seed, counter=block_index << 64))
     level = np.minimum(np.searchsorted(cdf, gen.random(count) * cdf[-1], side="right"), cdf.size - 1)
     s2 = gen.standard_gamma(level + 1.0)
     s = np.sqrt(s2)
     if table.shape[1] == 1:
-        return s * np.exp(2j * np.pi * gen.random(count)), count
-    coeffs = (_poisson_weights(s2, table.shape[0]) @ table.view(float)).view(complex)
+        np.multiply(s, np.exp(2j * np.pi * gen.random(count)), out=out)
+        return count
+    dim, cols = table.shape
+
+    def rows(buf, n):  # n complex rows of the table's width, at the head of buf
+        return buf[: 2 * cols * n].view(complex).reshape(n, cols)
+
+    weights = _poisson_weights(s2, dim, out=work[: count * dim].reshape(count, dim))
+    coeffs = rows(spare, count)
+    np.matmul(weights, table.view(float), out=coeffs.view(float))
     x = (s / _PHASE_SCALE) ** step
     # exact bound of the phase density: c_0 + 2 sum_m |c_m(s)|
-    bound = coeffs[:, 0].real + 2.0 * _horner(np.abs(coeffs), x)
+    bound = coeffs[:, 0].real + 2.0 * _horner(np.abs(coeffs, out=work[: count * cols].reshape(count, cols)), x)
     phase = np.empty(count)
     pending = np.arange(count)
     proposed = 0
@@ -176,9 +200,12 @@ def _sample_block(cdf, table, step, block_index, count, seed):
         acc = u[1] * bound < density
         phase[pending[acc]] = u[0, acc]
         proposed += pending.size
-        rej = ~acc
-        pending, coeffs, x, bound = pending[rej], coeffs[rej], x[rej], bound[rej]
-    return s * np.exp(2j * np.pi * phase), proposed
+        rej = np.flatnonzero(~acc)
+        pending, x, bound = pending[rej], x[rej], bound[rej]
+        work, spare = spare, work
+        coeffs = np.take(coeffs, rej, axis=0, out=rows(spare, rej.size), mode="clip")
+    np.multiply(s, np.exp(2j * np.pi * phase), out=out)
+    return proposed
 
 
 def sample_q(
@@ -189,37 +216,46 @@ def sample_q(
     Output is byte-identical for fixed (state, seed, n_samples) no matter
     how many workers share the block list: each 4096-sample block owns a
     disjoint Philox counter region keyed only by (seed, block index).
+    Each worker takes a contiguous run of blocks, writes them straight
+    into its slices of the one output array and works in two buffers
+    allocated once per call.
     """
     if n_samples < 0:
         raise DomainError("n_samples must be nonnegative")
+    _check_workers(n_workers)
     if state.trace_deficit > DEFICIT_TOL:
         raise CutoffError(
             f"state trace deficit {state.trace_deficit:.3e} too large to sample faithfully"
         )
+    samples = np.empty(n_samples, dtype=complex)
     if n_samples == 0:
         return SampleBatch(
-            samples=np.empty(0, dtype=complex),
+            samples=samples,
             seed=int(seed),
             acceptance_rate=1.0,
             state_fingerprint=state.fingerprint(),
         )
     cdf = np.cumsum(np.maximum(state.populations(), 0.0))
     table, step = _phase_table(state)
+    dim, cols = table.shape
     n_blocks = (n_samples + BLOCK - 1) // BLOCK
-    counts = [min(BLOCK, n_samples - j * BLOCK) for j in range(n_blocks)]
-    results = [None] * n_blocks
+    n_workers = min(n_workers, n_blocks)
 
-    def run(j):
-        results[j] = _sample_block(cdf, table, step, j, counts[j], int(seed))
+    def run(w):
+        work = spare = None
+        if cols > 1:
+            work, spare = np.empty(BLOCK * max(dim, 2 * cols)), np.empty(BLOCK * 2 * cols)
+        proposed = 0
+        for j in range(w * n_blocks // n_workers, (w + 1) * n_blocks // n_workers):
+            out = samples[j * BLOCK : (j + 1) * BLOCK]
+            proposed += _sample_block(cdf, table, step, j, int(seed), out, work, spare)
+        return proposed
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run, range(n_blocks)))
+            proposed = sum(pool.map(run, range(n_workers)))
     else:
-        for j in range(n_blocks):
-            run(j)
-    samples = np.concatenate([r[0] for r in results])
-    proposed = sum(r[1] for r in results)
+        proposed = run(0)
     return SampleBatch(
         samples=samples,
         seed=int(seed),
@@ -250,6 +286,7 @@ def sample_unbalanced(
     corresponds to |zeta| = |log(R/T)|; zeta = 0 recovers the balanced
     scheme bit-for-bit (same seed, same samples).
     """
+    _check_workers(n_workers)
     zeta = complex(zeta)
     if zeta == 0:
         return sample_q(state, n_samples, seed, n_workers=n_workers)

@@ -700,9 +700,10 @@ def apply_gaussian(
     The congruence U rho U^dag with the rectangular block of exact matrix
     elements transforms the truncated input exactly; the only new leakage
     is output mass above out_dim, which is added to the trace deficit.
-    With ``out_dim=None`` the cutoff is the first of max(2 dim, 32) doubled
+    With ``out_dim=None`` the cutoff is the first of max(dim, 32) doubled
     whose new leakage is at most DEFICIT_TOL / 10, or at most what the
-    input's deficit leaves of DEFICIT_TOL if less.  This is the one place a
+    input's deficit leaves of DEFICIT_TOL if less, so a map that does not
+    spread the state keeps the state's own size.  This is the one place a
     Gaussian-built state is truncated (``CoreState.to_state`` and
     ``make_squeezed_thermal`` come through it): a total deficit past
     DEFICIT_TOL raises CutoffError with ``suggested_dim`` the first doubled
@@ -714,7 +715,7 @@ def apply_gaussian(
     """
     fits = DEFICIT_TOL - state.trace_deficit  # the most new leakage the output can take
     if out_dim is None:
-        dim, u = _rows_that_keep(state, g, max(2 * state.dim, 32), min(DEFICIT_TOL / 10, fits))
+        dim, u = _rows_that_keep(state, g, max(state.dim, 32), min(DEFICIT_TOL / 10, fits))
         if dim is None:
             raise CutoffError(f"no cutoff up to {_MAX_AUTO_DIM} levels keeps the deficit within {DEFICIT_TOL:.1e}")
     elif type(out_dim) is not int or out_dim < 1:

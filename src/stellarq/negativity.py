@@ -127,18 +127,23 @@ def estimate_omega(
 _GRID_CHUNK = 512
 
 
-def _damped_half_laguerre(u: np.ndarray, damping: np.ndarray, degree: int) -> np.ndarray:
-    """damping * L_i^{(-1/2)}(u) for i = 0..degree, stacked along a new first axis.
+def _damped_half_laguerre(u: np.ndarray, damping: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """damping * L_i^{(-1/2)}(u) for i < len(out), written into ``out``.
 
     The three-term recurrence is linear, so starting it from the damped
-    L_0 and L_1 damps every order.
+    L_0 and L_1 damps every order.  It runs in place, with ``tmp`` (the
+    shape of u) as its one scratch array.
     """
-    out = np.empty((degree + 1,) + u.shape)
     out[0] = damping
-    if degree:
-        out[1] = (0.5 - u) * damping
-    for i in range(1, degree):
-        out[i + 1] = ((2 * i + 0.5 - u) * out[i] - (i - 0.5) * out[i - 1]) / (i + 1)
+    if len(out) > 1:
+        np.subtract(0.5, u, out=out[1])
+        out[1] *= damping
+    for i in range(1, len(out) - 1):
+        # out[i + 1] = ((2 i + 0.5 - u) out[i] - (i - 0.5) out[i - 1]) / (i + 1)
+        nxt = np.subtract(2 * i + 0.5, u, out=out[i + 1])
+        nxt *= out[i]
+        nxt -= np.multiply(i - 0.5, out[i - 1], out=tmp)
+        nxt /= i + 1
     return out
 
 
@@ -168,21 +173,35 @@ def _grid_kernel_sums(samples, re_axis, im_axis, weights, eta, moments):
     c = 1.0 - eta
     series = [weights, lag.lagmul(weights, weights)][:moments]
     hankels = [_hankel(w) for w in series]
-    degree = series[-1].size - 1
-    sums = [np.zeros((re_axis.size, im_axis.size)) for _ in series]
+    orders = series[-1].size
+    n_re, n_im = re_axis.size, im_axis.size
+    sums = [np.zeros((n_re, n_im)) for _ in series]
+    # every per-chunk array is the head of a flat buffer allocated once per
+    # scan, so a short last chunk stays contiguous
+    u_buf, eu_buf, v_buf, ev_buf, tmp_buf = (
+        np.empty(size * _GRID_CHUNK) for size in (n_re, n_re, n_im, n_im, max(n_re, n_im))
+    )
+    lu_buf, lv_buf, cb_buf = (np.empty(orders * size * _GRID_CHUNK) for size in (n_re, n_im, n_im))
     for s0 in range(0, samples.size, _GRID_CHUNK):
         z = samples[s0 : s0 + _GRID_CHUNK]
-        u = (z.real[None, :] - re_axis[:, None]) ** 2 / eta
-        v = (z.imag[None, :] - im_axis[:, None]) ** 2 / eta
-        eu, ev = np.exp(-c * u), np.exp(-c * v)
-        lu, lv = _damped_half_laguerre(u, eu, degree), _damped_half_laguerre(v, ev, degree)
+
+        def head(buf, *shape):
+            return buf[: math.prod(shape) * z.size].reshape(*shape, z.size)
+
+        u, eu, v, ev = head(u_buf, n_re), head(eu_buf, n_re), head(v_buf, n_im), head(ev_buf, n_im)
+        for part, axis, x, ex in ((z.real, re_axis, u, eu), (z.imag, im_axis, v, ev)):
+            np.square(np.subtract(part, axis[:, None], out=x), out=x)  # x = (part - axis)^2 / eta
+            x /= eta
+            np.exp(np.multiply(-c, x, out=ex), out=ex)  # e^{-c x}
+        a = _damped_half_laguerre(u, eu, head(lu_buf, orders, n_re), head(tmp_buf, n_re))
+        b = _damped_half_laguerre(v, ev, head(lv_buf, orders, n_im), head(tmp_buf, n_im))
         for k, (w, h) in enumerate(zip(series, hankels)):
             d = w.size
-            if k == 0:  # damping c
-                a, b = lu[:d], lv[:d]
-            else:  # damping 2c
-                a, b = lu * eu, lv * ev
-            cb = np.tensordot(h, b, axes=1)
+            if k:  # damping 2c
+                a *= eu
+                b *= ev
+            cb = head(cb_buf, d, n_im)
+            np.matmul(h, b[:d].reshape(d, -1), out=cb.reshape(d, -1))
             for i in range(d):
                 sums[k] += a[i] @ cb[i].T
     return sums

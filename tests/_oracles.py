@@ -230,3 +230,60 @@ def parity_sum(state: TruncatedState) -> float:
     """(2/pi) sum_k (-1)^k rho_kk, the undisplaced Wigner value."""
     pops = np.real(np.diag(state.matrix))
     return float(2.0 / math.pi * ((-1.0) ** np.arange(state.dim) @ pops))
+
+
+def sample_q_per_block(state: TruncatedState, n_samples: int, seed: int):
+    """(samples, proposals) of ``dhd.sample_q``, one block at a time with fresh arrays.
+
+    The reference for the sampler's buffered blocks: every block builds its
+    own Poisson weights, phase coefficients and magnitudes, gathers the
+    rejected rows by a mask each round, and the blocks are concatenated at
+    the end.  Only the phase table and the block constants come from ``dhd``.
+    """
+    from numpy.random import Generator, Philox
+
+    from stellarq.dhd import _PHASE_SCALE, BLOCK, _phase_table
+    from stellarq.specfun import log_factorial
+
+    def poisson_weights(s2, dim):
+        out = np.zeros((s2.size, dim))
+        with np.errstate(divide="ignore"):
+            np.multiply.outer(np.log(s2), np.arange(1, dim), out=out[:, 1:])
+        out -= s2[:, None]
+        out -= log_factorial(np.arange(dim))
+        return np.exp(out, out=out)
+
+    def horner(coeffs, w):
+        acc = coeffs[:, -1] * w
+        for m in range(coeffs.shape[1] - 2, 0, -1):
+            acc += coeffs[:, m]
+            acc *= w
+        return acc
+
+    def block(j, count):
+        gen = Generator(Philox(key=seed, counter=j << 64))
+        level = np.minimum(np.searchsorted(cdf, gen.random(count) * cdf[-1], side="right"), cdf.size - 1)
+        s2 = gen.standard_gamma(level + 1.0)
+        s = np.sqrt(s2)
+        if table.shape[1] == 1:
+            return s * np.exp(2j * np.pi * gen.random(count)), count
+        coeffs = (poisson_weights(s2, table.shape[0]) @ table.view(float)).view(complex)
+        x = (s / _PHASE_SCALE) ** step
+        bound = coeffs[:, 0].real + 2.0 * horner(np.abs(coeffs), x)
+        phase = np.empty(count)
+        pending = np.arange(count)
+        proposed = 0
+        while pending.size:
+            u = gen.random((2, pending.size))
+            density = coeffs[:, 0].real + 2.0 * horner(coeffs, x * np.exp(2j * np.pi * step * u[0])).real
+            acc = u[1] * bound < density
+            phase[pending[acc]] = u[0, acc]
+            proposed += pending.size
+            rej = ~acc
+            pending, coeffs, x, bound = pending[rej], coeffs[rej], x[rej], bound[rej]
+        return s * np.exp(2j * np.pi * phase), proposed
+
+    cdf = np.cumsum(np.maximum(state.populations(), 0.0))
+    table, step = _phase_table(state)
+    parts = [block(j, min(BLOCK, n_samples - j * BLOCK)) for j in range(-(-n_samples // BLOCK))]
+    return np.concatenate([p[0] for p in parts]), sum(p[1] for p in parts)

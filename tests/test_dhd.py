@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.stats import chi2, kstest
 from stellarq import dhd, estimator, fockspace as fs
 from stellarq.errors import DomainError
 
-from _oracles import gamma_mixture_cdf, q_polar_cells, radial_cdf_interp
+from _oracles import gamma_mixture_cdf, q_polar_cells, radial_cdf_interp, sample_q_per_block
 
 
 def test_vacuum_radial_moment():
@@ -85,6 +86,62 @@ def test_determinism_across_runs_and_workers():
         assert c.acceptance_rate == a.acceptance_rate
 
 
+@pytest.mark.parametrize("kind, step", [("odd offsets", 1), ("even offsets", 2), ("diagonal", None)])
+def test_sample_q_matches_the_per_block_sampler(kind, step, fig5_state):
+    # blocks written into buffers allocated once per call give the bytes and the
+    # proposal count of fresh arrays per block, over a partial last block and
+    # any split of the blocks between workers
+    state = {
+        "odd offsets": fs.apply_gaussian(
+            fs.make_squeezed_thermal(0.3, 0.7, 0.9, 32), fs.GaussianUnitaryParams(0.0, 0.0, 0.6 - 0.4j)
+        ),
+        "even offsets": fig5_state,
+        "diagonal": fs.make_lossy_fock(2, 0.8, 8),
+    }[kind]
+    table, got_step = dhd._phase_table(state)
+    assert (got_step if table.shape[1] > 1 else None) == step
+    n = 3 * dhd.BLOCK + 777
+    want, proposed = sample_q_per_block(state, n, 19)
+    for workers in (1, 2, 3):
+        b = dhd.sample_q(state, n, seed=19, n_workers=workers)
+        np.testing.assert_array_equal(b.samples, want)
+        assert b.acceptance_rate == n / proposed
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True, "2"])
+def test_sample_q_refuses_a_bad_worker_count(bad, fig5_state):
+    with pytest.raises(DomainError, match="n_workers"):
+        dhd.sample_q(fig5_state, 100, seed=1, n_workers=bad)
+    with pytest.raises(DomainError, match="n_workers"):
+        dhd.sample_unbalanced(fig5_state, -0.3, 100, seed=1, n_workers=bad)
+
+
+@pytest.fixture(scope="module")
+def fig5_frame62(fig5_state):
+    """The unbalanced detection frame of the fig-5 state, S(r) rho S(r)^dag, at 62 levels."""
+    return fs.apply_gaussian(fig5_state, fs.GaussianUnitaryParams(fs.db_to_r(3.0), math.pi, 0j), out_dim=62)
+
+
+def test_unbalanced_frame_draws_as_its_62_level_frame(fig5_state, fig5_frame62):
+    # the automatic frame holds 32 levels; the mass above them (3e-14) moves no
+    # draw at this seed
+    b = dhd.sample_unbalanced(fig5_state, -fs.db_to_r(3.0), 100_000, seed=3)
+    np.testing.assert_array_equal(b.samples, dhd.sample_q(fig5_frame62, 100_000, seed=3).samples)
+
+
+def test_sample_q_holds_its_output_once(fig5_frame62):
+    # the blocks go straight into the output, so the peak is one output and
+    # two block buffers (2 MB each here)
+    n = 581_429
+    tracemalloc.start()
+    try:
+        dhd.sample_q(fig5_frame62, n, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * n * 16, peak / (n * 16)
+
+
 def test_kolmogorov_smirnov_radial(reference_states):
     # |alpha| empirical distribution vs the radial CDF from quadrature
     for name in ("vacuum", "one", "two", "squeezed_thermal"):
@@ -104,7 +161,7 @@ def test_radius_squared_is_gamma_mixture(fig5_state, reference_states):
         "fig5": (fig5_state, dhd.sample_q(fig5_state, 100_000, seed=32)),
         "unbalanced": (unbalanced, dhd.sample_unbalanced(fig5_state, -r, 100_000, seed=33)),
     }
-    assert unbalanced.dim == 62
+    assert unbalanced.dim == 32
     for name, (state, batch) in cases.items():
         res = kstest(np.abs(batch.samples) ** 2, gamma_mixture_cdf(state))
         assert res.pvalue > 1e-3, (name, res)
@@ -159,6 +216,13 @@ def test_radial_density_matches_q_quadrature(fig5_state):
     np.testing.assert_allclose(
         dhd.radial_density(fig5_state, s), q.mean(axis=1) * 2 * math.pi * s, rtol=1e-12, atol=1e-15
     )
+
+
+def test_radial_density_takes_a_scalar(fig5_state):
+    got = dhd.radial_density(fig5_state, 1.0)
+    assert isinstance(got, float)
+    assert got == dhd.radial_density(fig5_state, np.array([0.5, 1.0]))[1]
+    assert dhd.radial_density(fig5_state, np.ones((2, 3))).shape == (2, 3)
 
 
 def test_csv_roundtrip(tmp_path):

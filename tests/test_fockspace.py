@@ -388,6 +388,17 @@ def test_apply_gaussian_roundtrips():
             fs.apply_gaussian(vac, fs.GaussianUnitaryParams(0, 0, 1.0), out_dim=bad)
 
 
+def test_apply_gaussian_automatic_cutoff_starts_at_the_state_size():
+    # a map that does not spread the state keeps its 40 levels; one that does
+    # still gets the first doubled cutoff that fits
+    st = fs.make_lossy_fock(2, 0.8, 40)
+    g = fs.GaussianUnitaryParams(0.0, 0.0, 0.05)
+    auto = fs.apply_gaussian(st, g)
+    assert auto.dim == 40
+    np.testing.assert_array_equal(auto.matrix, fs.apply_gaussian(st, g, out_dim=40).matrix)
+    assert fs.apply_gaussian(fs.make_fock(1, 40), fs.GaussianUnitaryParams(1.25, 0.0, 0.5)).dim == 160
+
+
 def test_apply_gaussian_inverse_params():
     # generous cutoffs so the round trip tests the parameter algebra, not
     # the truncation budget

@@ -98,13 +98,19 @@ def pn_threshold(n: int, p: int, eta: float) -> int:
             raise DomainError("pn_threshold failed to terminate")
 
 
+def _log_binomial(n: int, k: int) -> float:
+    """ln C(n, k); past the log-factorial table (p_n -> inf as eta -> 1) by the lgamma it is built of."""
+    lg = math.lgamma
+    return specfun.log_binomial(n, k) if n <= specfun._MAX_N else lg(n + 1.0) - lg(k + 1.0) - lg(n - k + 1.0)
+
+
 def _bias_full(n: int, p: int, eta: float) -> float:
     """Full-width bias bound eta^{p_n} C(p_n-1, p-1) C(n+p_n, n)."""
     pn = pn_threshold(n, p, eta)
     log = (
         pn * math.log(eta)
-        + specfun.log_binomial(pn - 1, p - 1)
-        + specfun.log_binomial(n + pn, n)
+        + _log_binomial(pn - 1, p - 1)
+        + _log_binomial(n + pn, n)
     )
     return math.exp(log)
 
@@ -626,6 +632,7 @@ def optimize_params(n: int, epsilon: float, delta: float) -> OptimizeResult:
     """
     if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
         raise DomainError("epsilon and delta must lie in (0, 1)")
+    specfun.log_factorial(n + OPTIMIZE_P_MAX - 1)  # the kernels up to OPTIMIZE_P_MAX read it: DomainError past it
     etas = OPTIMIZE_ETA_GRID
     per_p = []
     for p in range(1, OPTIMIZE_P_MAX + 1):

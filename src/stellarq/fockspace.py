@@ -607,9 +607,11 @@ def _affine(g: GaussianUnitaryParams):
 _LADDER_MAX_ENTRIES = 200
 
 
-def _ladder_block(n_rows: int, m_cols: int, g: GaussianUnitaryParams) -> np.ndarray:
+def _ladder_block(n_rows: int, m_cols: int, g) -> np.ndarray:
     """<m| S(xi) D(beta) |j> for m < n_rows, j < m_cols by ladder recurrences.
 
+    g is one ``GaussianUnitaryParams`` (the stack of one), or a stack: arrays
+    (r, theta, beta) of one length, giving blocks shaped (len, n_rows, m_cols).
     With G^dag a G = A a + B a^dag + gamma (``_affine``, A = cosh r real),
     a G = G (A a + B a^dag + gamma) and a^dag G = G (A a^dag + B* a + gamma*)
     give, with no inner index (Miatto & Quesada, arXiv 2004.11002):
@@ -624,33 +626,29 @@ def _ladder_block(n_rows: int, m_cols: int, g: GaussianUnitaryParams) -> np.ndar
     ``gaussian_matrix`` to 1e-11 up to _LADDER_MAX_ENTRIES entries (14 x 14,
     10 x 20, 8 x 25), but only to 6e-11 at 16 x 16, and with themselves
     run at 40 digits only to 3.3e-9 at 20 x 20 and 7e-5 at 32 x 31, so
-    larger blocks go through an inner index instead.  The small blocks are
-    evaluated by scalar loops, where numpy's per-call cost would dominate.
+    larger blocks go through an inner index instead.  Each step runs
+    elementwise across the stack, so no block depends on its stack.
     """
-    a, b, gamma = (complex(t) for t in _affine(g))
-    r, beta = g.squeeze_r, complex(g.displacement)
-    root = [math.sqrt(m) for m in range(max(n_rows, m_cols))]
+    if isinstance(g, GaussianUnitaryParams):
+        return _ladder_block(n_rows, m_cols, ([g.squeeze_r], [g.squeeze_theta], [g.displacement]))[0]
+    r, th, beta = map(np.asarray, g)
+    a, b = np.cosh(r), -np.exp(-1j * th) * np.sinh(r)
+    gamma = beta * a + beta.conj() * b
     ratio = b / a
-    shift = gamma - ratio * gamma.conjugate()
-    cur = math.sqrt(1.0 / math.cosh(r)) * cmath.exp(
-        0.5 * cmath.exp(1j * g.squeeze_theta) * math.tanh(r) * beta * beta - 0.5 * abs(beta) ** 2
-    )
-    prev, col = 0j, [cur]
+    shift = gamma - ratio * gamma.conj()
+    root = np.sqrt(np.arange(max(n_rows, m_cols)))
+    # out[j, m + 1] = G[m, j] across the stack; row 0 is zero, the G[-1, j] that sqrt(0) drops
+    out = np.zeros((m_cols, n_rows + 1, r.size), dtype=complex)
+    out[0, 1] = np.sqrt(1.0 / a) * np.exp(0.5 * np.exp(1j * th) * np.tanh(r) * beta * beta - 0.5 * np.abs(beta) ** 2)
     for m in range(1, n_rows):
-        prev, cur = cur, (shift * cur + ratio * root[m - 1] * prev) / root[m]
-        col.append(cur)
-    cols = [col]
-    b_conj, gamma_conj = b.conjugate(), gamma.conjugate()
-    before = [0j] * n_rows
+        out[0, m + 1] = (shift * out[0, m] + ratio * root[m - 1] * out[0, m - 1]) / root[m]
+    # per-point factors as rows, so that a stack of one broadcasts as any other
+    b_conj, gamma_conj, rows = b.conj()[None], gamma.conj()[None], root[:n_rows, None]
     for j in range(1, m_cols):
-        scale = 1.0 / (a * root[j])
-        back = b_conj * root[j - 1]
-        # root[0] = 0 drops the wrapped col[-1] from row 0
-        before, col = col, [
-            (root[m] * col[m - 1] - gamma_conj * col[m] - back * before[m]) * scale for m in range(n_rows)
-        ]
-        cols.append(col)
-    return np.array(cols).T
+        before = out[j - 2, 1:] if j > 1 else 0.0
+        numerator = rows * out[j - 1, :-1] - gamma_conj * out[j - 1, 1:] - b_conj * root[j - 1] * before
+        out[j, 1:] = numerator / (a * root[j])
+    return out[:, 1:].transpose(2, 1, 0)
 
 
 def compose_gaussians(g1: GaussianUnitaryParams, g2: GaussianUnitaryParams):

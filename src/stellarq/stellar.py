@@ -36,14 +36,15 @@ blocks too large for them go through ``gaussian_matrix``), applied to a core
 vector: n D(beta) = D(beta)(a^dag + beta*)(a + beta)
 gives P S n u = P G (n + beta a^dag + beta* a + |beta|^2) c, and S commutes
 with its own generator, so P S K_theta u = P K_theta G c reads rows k
-and k + 1 of G c.  The winner is re-evaluated through ``gaussian_matrix``
-on the full prepared vector and must agree to 1e-8.  A restart has
-converged when its projected gradient falls to 1e-9 or a step raises F by
-at most 1e-12 relative; a step that finds no rise counts as converged only
-where the projected gradient is at most 1e-6, and 1,000 steps do not count.
-The per-restart record is kept because a local method can only certify
-what it found.  The optimizer also yields the optimal approximating state
-G^dag (P_{<k} G |psi> / ||.||).
+and k + 1 of G c.  All starts ascend in lockstep (``_ascend_all``) on one stacked,
+elementwise evaluation per round, so no restart depends on the others.  The
+winner is re-evaluated through ``gaussian_matrix`` on the full prepared vector
+and must agree to 1e-8.  A restart has converged when its projected gradient
+falls to 1e-9 or a step raises F by at most 1e-12 relative; a step that finds
+no rise counts as converged only where the projected gradient is at most 1e-6,
+and 1,000 steps do not count.  The per-restart record is kept because a local
+method can only certify what it found.  The optimizer also yields the optimal
+approximating state G^dag (P_{<k} G |psi> / ||.||).
 
 StellarPoly carries the holomorphic representation P(z) exp(S z^2 + D z)
 of a finite-rank pure state, on which photon subtraction acts as d/dz;
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,18 +146,15 @@ def _objective(coeffs: np.ndarray, k: int):
     raising = np.sqrt(levels[2:] * (levels[2:] - 1.0))  # <m|a^dag^2|m-2>
     ladder = (k + 2) * (n + 1) <= _LADDER_MAX_ENTRIES
 
-    def moved(g) -> np.ndarray:
-        """G @ core for the block G[m, j] = <m|S(xi) D(beta)|j>, m < k + 2, j <= n, from
-        the ladder recurrences while they stay accurate and otherwise through ``gaussian_matrix``."""
-        return (_ladder_block if ladder else gaussian_matrix)(k + 2, n + 1, g) @ core
-
     def value_and_gradient(x) -> tuple:
-        """F = ||P_{<k} S(r e^{i theta}) D(beta) c||^2 and dF/d(r, theta, Re beta, Im beta).
+        """F = ||P_{<k} S(r e^{i theta}) D(beta) c||^2 and dF/d(r, theta, Re beta, Im beta)
+        at x, or as arrays at each row of a stack x of shape (len, 4).
 
-        r is signed (``_unsigned``).  The (k + 2) x (n + 1) block G of
-        ``moved``, n core levels plus one for a^dag c, multiplies the fixed
-        columns c, a^dag c, a c and n c.  With v = G c and w its rows < k,
-        every term is an inner product with w (see the module docstring):
+        r is signed (``_unsigned``).  The (k + 2) x (n + 1) block G[m, j] = <m|S(xi) D(beta)|j>, by
+        ``_ladder_block`` across the stack while it stays accurate and else by ``gaussian_matrix``
+        point by point, multiplies the fixed columns c, a^dag c, a c and n c in ``einsum`` loops, not
+        BLAS: no point depends on its stack or, on the ladder path, the BLAS threads.  With v = G c
+        and w its rows < k, every term is an inner product with w (see the module docstring):
 
         * F = <w, w>;
         * dF/dRe beta = 2 Re <w, G (a^dag - a) c>,
@@ -166,20 +165,22 @@ def _objective(coeffs: np.ndarray, k: int):
           which reads rows k and k + 1 of v; it holds for either sign of r,
           since xi = r e^{i theta} is linear in r.
         """
-        r, th, br, bi = (float(t) for t in x)
-        beta = complex(br, bi)
-        g = GaussianUnitaryParams(*_unsigned((r, th)), beta)
-        v = moved(g)
-        w = v[:k, 0]
-        bra = w.conj()
-        norm, on_up, on_down, on_number = (bra @ v[:k]).tolist()
-        on_shifted = on_number + beta * on_up + beta.conjugate() * on_down + abs(beta) ** 2 * norm
-        on_lowered = complex(bra @ (lowering * v[2:, 0]))  # <w, a^2 v>
-        on_raised = complex(bra[2:] @ (raising * v[: raising.size, 0]))  # <w, a^dag^2 v>
-        turn = cmath.exp(1j * th)
-        d_r = (turn * on_lowered - turn.conjugate() * on_raised).real
-        grad = np.array([d_r, -on_shifted.imag, 2.0 * (on_up - on_down).real, -2.0 * (on_up + on_down).imag])
-        return norm.real, grad
+        x = np.asarray(x, dtype=float)
+        r, th, br, bi = x.reshape(-1, 4).T
+        beta = br + 1j * bi
+        params = (np.abs(r), np.where(r < 0, th + math.pi, th), beta)  # _unsigned, across the stack
+        blocks = _ladder_block(k + 2, n + 1, params) if ladder else [
+            gaussian_matrix(k + 2, n + 1, GaussianUnitaryParams(*p)) for p in zip(*(t.tolist() for t in params))]
+        v = np.einsum("bmj,jc->bmc", blocks, core)
+        bra = v[:, :k, 0].conj()
+        norm, on_up, on_down, on_number = np.einsum("bm,bmc->cb", bra, v[:, :k])
+        on_shifted = on_number + beta * on_up + beta.conj() * on_down + np.abs(beta) ** 2 * norm
+        on_lowered = np.einsum("bm,bm->b", bra, lowering * v[:, 2:, 0])  # <w, a^2 v>
+        on_raised = np.einsum("bm,bm->b", bra[:, 2:], raising * v[:, : raising.size, 0])  # <w, a^dag^2 v>
+        turn = np.exp(1j * th)
+        d_r = (turn * on_lowered - turn.conj() * on_raised).real
+        grad = np.stack([d_r, -on_shifted.imag, 2.0 * (on_up - on_down).real, -2.0 * (on_up + on_down).imag], axis=1)
+        return (norm.real, grad) if x.ndim == 2 else (norm.real[0], grad[0])
 
     return value_and_gradient
 
@@ -238,16 +239,21 @@ def _canonical(x) -> tuple:
     return r, th, abs(beta), 0.0
 
 
+def _dot(u, v) -> float:
+    return sum(map(operator.mul, u, v))
+
+
 def _projected_step(x, grad, lo, hi) -> float:
     """Max norm of the ascent step x -> clip(x + grad) - x, which vanishes only
     at a stationary point of F on the box [lo, hi]."""
-    return float(np.max(np.abs(np.clip(x + grad, lo, hi) - x)))
+    return max(abs(min(max(t + q, a), b) - t) for t, q, a, b in zip(x, grad, lo, hi))
 
 
-def _ascend(objective, x0, lo, hi) -> dict:
-    """Maximize F = objective(x)[0] on the box [lo, hi] from x0.
+def _ascend(x0, lo, hi):
+    """Maximize F on the box [lo, hi] from x0: a generator that yields each point x, takes
+    (F(x), dF/dx) back by ``send`` and returns its report (see ``_ascend_all``).
 
-    BFGS on a dense inverse Hessian H, projected onto the box.  The step
+    BFGS on a dense inverse Hessian H (a list of rows), projected onto the box.  The step
     direction d is H grad over the coordinates that no outward gradient
     holds on a face, and a trial step lands on clip(x + t d).  t starts at 1,
     or at min(1, 1/||grad||) before the first BFGS update, and is halved
@@ -264,54 +270,75 @@ def _ascend(objective, x0, lo, hi) -> dict:
     step is at most _STATIONARY_TOL.  _MAX_ITER steps do not count as
     converged.
     """
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    f, g = objective(x)
-    nfev, h, scaled, converged = 1, np.eye(x.size), False, False
+    x = [min(max(float(t), a), b) for t, a, b in zip(x0, lo, hi)]
+    f, g = yield x
+    nfev, scaled, converged, h = 1, False, False, [[float(i == j) for j in range(len(x))] for i in range(len(x))]
     for _ in range(_MAX_ITER):
         if _projected_step(x, g, lo, hi) <= _GTOL:
             converged = True
             break
-        held = ((x <= lo) & (g < 0)) | ((x >= hi) & (g > 0))
-        d = h @ np.where(held, 0.0, g)
-        if held.any():  # the inverse of the free block of H^-1, by its Schur complement
-            d -= h[:, held] @ np.linalg.solve(h[np.ix_(held, held)], d[held])
-        d[held | ((x <= lo) & (d < 0)) | ((x >= hi) & (d > 0))] = 0.0
-        if g @ d <= 0.0:  # only by rounding in a near-singular H: fall back to the free gradient
-            d = np.where(held, 0.0, g)
-        t = 1.0 if scaled else min(1.0, 1.0 / float(np.linalg.norm(g)))
+        held = [(t <= a and q < 0) or (t >= b and q > 0) for t, q, a, b in zip(x, g, lo, hi)]
+        free = [0.0 if on else q for on, q in zip(held, g)]
+        d = [_dot(row, free) for row in h]
+        if any(held):  # the inverse of the free block of H^-1, by its Schur complement
+            idx = [i for i, on in enumerate(held) if on]
+            z = np.linalg.solve([[h[i][j] for j in idx] for i in idx], [d[i] for i in idx]).tolist()
+            d = [e - _dot([row[j] for j in idx], z) for e, row in zip(d, h)]
+        d = [0.0 if on or (t <= a and e < 0) or (t >= b and e > 0) else e for on, t, e, a, b in zip(held, x, d, lo, hi)]
+        d = free if _dot(g, d) <= 0.0 else d  # only by rounding in a near-singular H
+        t = 1.0 if scaled else min(1.0, 1.0 / math.sqrt(_dot(g, g)))
         step, shrunk = None, False
         for _ in range(_MAX_TRIALS):
-            x_new = np.clip(x + t * d, lo, hi)
-            if step is not None and np.array_equal(x_new, step[0]):
+            x_new = [min(max(u + t * e, a), b) for u, e, a, b in zip(x, d, lo, hi)]
+            if step is not None and x_new == step[0]:
                 break  # the box stops the step from growing
-            f_new, g_new = objective(x_new)
+            f_new, g_new = yield x_new
             nfev += 1
-            gain = float(g @ (x_new - x))
+            s = [u - w for u, w in zip(x_new, x)]
+            gain = _dot(g, s)
             if f_new < f + 1e-4 * gain:
                 if step is not None:
                     break
                 t, shrunk = 0.5 * t, True
                 continue
-            step = (x_new, f_new, g_new)
-            if shrunk or float(g_new @ (x_new - x)) <= 0.9 * gain:
+            step = (x_new, f_new, g_new, s)
+            if shrunk or _dot(g_new, s) <= 0.9 * gain:
                 break
             t *= 2.0
         if step is None:
             converged = _projected_step(x, g, lo, hi) <= _STATIONARY_TOL
             break
-        s, y = step[0] - x, g - step[2]
-        sy = float(s @ y)
-        if sy > 1e-12 * float(y @ y):
+        s, y = step[3], [u - w for u, w in zip(g, step[2])]
+        sy, yy = _dot(s, y), _dot(y, y)
+        if sy > 1e-12 * yy:
             if not scaled:
-                h, scaled = np.eye(x.size) * (sy / float(y @ y)), True
-            v = np.eye(x.size) - np.outer(s, y) / sy
-            h = v @ h @ v.T + np.outer(s, s) / sy
+                h, scaled = [[sy / yy * e for e in row] for row in h], True
+            hy = [_dot(row, y) for row in h]  # H <- V H V^T + s s^T / sy, V = 1 - s y^T / sy, written out
+            c = (1.0 + _dot(y, hy) / sy) / sy
+            h = [[e - (s[i] * hy[j] + hy[i] * s[j]) / sy + c * (s[i] * s[j]) for j, e in enumerate(row)]
+                 for i, row in enumerate(h)]
         rise = (step[1] - f) / max(abs(f), abs(step[1]), 1.0)
-        x, f, g = step
+        x, f, g, _ = step
         if rise <= _FTOL:
             converged = True
             break
     return {"objective": float(f), "params": _unsigned(x), "converged": converged, "nfev": nfev}
+
+
+def _ascend_all(objective, starts, lo, hi) -> list:
+    """The reports of one ``_ascend`` per start, advanced in lockstep: each round
+    evaluates the points of all live ascents by one objective(stack) -> (F, dF/dx)."""
+    ascents = [_ascend(x0, lo, hi) for x0 in starts]
+    reports, pending = [None] * len(ascents), {i: next(a) for i, a in enumerate(ascents)}
+    while pending:
+        f, g = objective(np.array(list(pending.values())))
+        for i, f_i, g_i in zip(list(pending), f.tolist(), g.tolist()):
+            try:
+                pending[i] = ascents[i].send((f_i, g_i))
+            except StopIteration as done:
+                reports[i] = done.value
+                del pending[i]
+    return reports
 
 
 def max_fidelity_rank_bounded(
@@ -323,12 +350,10 @@ def max_fidelity_rank_bounded(
         raise DomainError("k must be a positive integer")
     coeffs = np.asarray(target.coeffs, dtype=complex)
     objective = _objective(coeffs, k)
-    lo = np.array([-_R_MAX, -np.inf, -_B_MAX, -_B_MAX])
+    lo = [-_R_MAX, -math.inf, -_B_MAX, -_B_MAX]
     rng = np.random.default_rng(seed)
-    report = [
-        _ascend(objective, x0, lo, -lo)
-        for x0 in [*_restart_points(rng, restarts, k >= coeffs.size), *_starts]
-    ]
+    starts = [*_restart_points(rng, restarts, k >= coeffs.size), *_starts]
+    report = _ascend_all(objective, starts, lo, [-t for t in lo])
     if not any(r["converged"] for r in report):
         raise OptimizerError("no restart's projected BFGS ascent converged", restarts=len(report))
     # scheduling-independent selection: best objective, ties broken by

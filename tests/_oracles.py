@@ -2,7 +2,10 @@
 
 Everything here is deliberately implemented from the defining sums and
 matrix exponentials, not from the recurrences under test, so the two
-code paths share nothing but the definitions.
+code paths share nothing but the definitions.  The exceptions are the
+one-at-a-time references of restructured code (``sample_q_per_block``,
+``ladder_block_scalar``, ``rank_bounded_objective_scalar``,
+``ascend_scalar``), which keep its earlier form to compare against.
 """
 
 import cmath
@@ -287,3 +290,131 @@ def sample_q_per_block(state: TruncatedState, n_samples: int, seed: int):
     table, step = _phase_table(state)
     parts = [block(j, min(BLOCK, n_samples - j * BLOCK)) for j in range(-(-n_samples // BLOCK))]
     return np.concatenate([p[0] for p in parts]), sum(p[1] for p in parts)
+
+
+def ladder_block_scalar(n_rows: int, m_cols: int, g: GaussianUnitaryParams) -> np.ndarray:
+    """<m| S(xi) D(beta) |j> by the ladder recurrences of ``fockspace._ladder_block``,
+    one point at a time in Python complex scalars (the reference for its stacked
+    form)."""
+    from stellarq.fockspace import _affine
+
+    a, b, gamma = (complex(t) for t in _affine(g))
+    r, beta = g.squeeze_r, complex(g.displacement)
+    root = [math.sqrt(m) for m in range(max(n_rows, m_cols))]
+    ratio = b / a
+    shift = gamma - ratio * gamma.conjugate()
+    cur = math.sqrt(1.0 / math.cosh(r)) * cmath.exp(
+        0.5 * cmath.exp(1j * g.squeeze_theta) * math.tanh(r) * beta * beta - 0.5 * abs(beta) ** 2
+    )
+    prev, col = 0j, [cur]
+    for m in range(1, n_rows):
+        prev, cur = cur, (shift * cur + ratio * root[m - 1] * prev) / root[m]
+        col.append(cur)
+    cols = [col]
+    b_conj, gamma_conj = b.conjugate(), gamma.conjugate()
+    before = [0j] * n_rows
+    for j in range(1, m_cols):
+        scale = 1.0 / (a * root[j])
+        back = b_conj * root[j - 1]
+        # root[0] = 0 drops the wrapped col[-1] from row 0
+        before, col = col, [
+            (root[m] * col[m - 1] - gamma_conj * col[m] - back * before[m]) * scale for m in range(n_rows)
+        ]
+        cols.append(col)
+    return np.array(cols).T
+
+
+def rank_bounded_objective_scalar(coeffs: np.ndarray, k: int):
+    """F = ||P_{<k} S(r e^{i theta}) D(beta) c||^2 and its gradient in (r, theta, Re beta,
+    Im beta), one point at a time, as ``stellar._objective`` evaluates a stack of points;
+    blocks by ``ladder_block_scalar`` up to ``fockspace._LADDER_MAX_ENTRIES`` entries."""
+    from stellarq.fockspace import _LADDER_MAX_ENTRIES, gaussian_matrix
+    from stellarq.stellar import _unsigned
+
+    n = coeffs.size
+    c = np.append(coeffs, 0.0)
+    lift = np.sqrt(np.arange(1.0, n + 1.0))
+    up = np.zeros(n + 1, dtype=complex)  # a^dag c
+    up[1:] = lift * coeffs
+    down = np.zeros(n + 1, dtype=complex)  # a c
+    down[: n - 1] = lift[: n - 1] * coeffs[1:]
+    core = np.column_stack([c, up, down, np.arange(n + 1) * c])
+    levels = np.arange(k, dtype=float)
+    lowering = np.sqrt((levels + 1.0) * (levels + 2.0))
+    raising = np.sqrt(levels[2:] * (levels[2:] - 1.0))
+    block = ladder_block_scalar if (k + 2) * (n + 1) <= _LADDER_MAX_ENTRIES else gaussian_matrix
+
+    def value_and_gradient(x) -> tuple:
+        r, th, br, bi = (float(t) for t in x)
+        beta = complex(br, bi)
+        v = block(k + 2, n + 1, GaussianUnitaryParams(*_unsigned((r, th)), beta)) @ core
+        bra = v[:k, 0].conj()
+        norm, on_up, on_down, on_number = (bra @ v[:k]).tolist()
+        on_shifted = on_number + beta * on_up + beta.conjugate() * on_down + abs(beta) ** 2 * norm
+        on_lowered = complex(bra @ (lowering * v[2:, 0]))
+        on_raised = complex(bra[2:] @ (raising * v[: raising.size, 0]))
+        turn = cmath.exp(1j * th)
+        d_r = (turn * on_lowered - turn.conjugate() * on_raised).real
+        grad = np.array([d_r, -on_shifted.imag, 2.0 * (on_up - on_down).real, -2.0 * (on_up + on_down).imag])
+        return norm.real, grad
+
+    return value_and_gradient
+
+
+def ascend_scalar(objective, x0, lo, hi) -> dict:
+    """One restart of ``stellar._ascend`` run alone, in numpy 4-vectors: projected BFGS
+    with the same line search and stop rule, calling ``objective(x)`` -> (F, dF/dx)
+    directly.  The reference for the lockstep ascent."""
+    from stellarq.stellar import _FTOL, _GTOL, _MAX_ITER, _MAX_TRIALS, _STATIONARY_TOL, _unsigned
+
+    def projected_step(x, grad):
+        return float(np.max(np.abs(np.clip(x + grad, lo, hi) - x)))
+
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    f, g = objective(x)
+    nfev, h, scaled, converged = 1, np.eye(x.size), False, False
+    for _ in range(_MAX_ITER):
+        if projected_step(x, g) <= _GTOL:
+            converged = True
+            break
+        held = ((x <= lo) & (g < 0)) | ((x >= hi) & (g > 0))
+        d = h @ np.where(held, 0.0, g)
+        if held.any():  # the inverse of the free block of H^-1, by its Schur complement
+            d -= h[:, held] @ np.linalg.solve(h[np.ix_(held, held)], d[held])
+        d[held | ((x <= lo) & (d < 0)) | ((x >= hi) & (d > 0))] = 0.0
+        if g @ d <= 0.0:
+            d = np.where(held, 0.0, g)
+        t = 1.0 if scaled else min(1.0, 1.0 / float(np.linalg.norm(g)))
+        step, shrunk = None, False
+        for _ in range(_MAX_TRIALS):
+            x_new = np.clip(x + t * d, lo, hi)
+            if step is not None and np.array_equal(x_new, step[0]):
+                break
+            f_new, g_new = objective(x_new)
+            nfev += 1
+            gain = float(g @ (x_new - x))
+            if f_new < f + 1e-4 * gain:
+                if step is not None:
+                    break
+                t, shrunk = 0.5 * t, True
+                continue
+            step = (x_new, f_new, g_new)
+            if shrunk or float(g_new @ (x_new - x)) <= 0.9 * gain:
+                break
+            t *= 2.0
+        if step is None:
+            converged = projected_step(x, g) <= _STATIONARY_TOL
+            break
+        s, y = step[0] - x, g - step[2]
+        sy = float(s @ y)
+        if sy > 1e-12 * float(y @ y):
+            if not scaled:
+                h, scaled = np.eye(x.size) * (sy / float(y @ y)), True
+            v = np.eye(x.size) - np.outer(s, y) / sy
+            h = v @ h @ v.T + np.outer(s, s) / sy
+        rise = (step[1] - f) / max(abs(f), abs(step[1]), 1.0)
+        x, f, g = step
+        if rise <= _FTOL:
+            converged = True
+            break
+    return {"objective": float(f), "params": _unsigned(x), "converged": converged, "nfev": nfev}

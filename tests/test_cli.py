@@ -224,6 +224,20 @@ def test_optimize_params_row(tmp_path):
     assert rep["p_n"] == 2
 
 
+def test_fock4_parameters_without_p_or_eta(tmp_path):
+    # optimize_params' eta grid reaches p_n past the log-factorial table for Fock 4
+    report = tmp_path / "row.json"
+    assert run(tmp_path, "optimize-params", "--n", 4, "--epsilon", 0.2, "--delta", 0.05, "--out", report) == 0
+    assert json.loads(report.read_text())["p"] == 3
+    state, samples = tmp_path / "four.json", tmp_path / "s.csv"
+    run(tmp_path, "state", "--spec", '{"fock":{"n":4,"dim":12}}', "--out", state)
+    run(tmp_path, "sample", "--state", state, "--n", 20000, "--seed", 3, "--out", samples)
+    rc = run(tmp_path, "estimate", "--samples", samples, "--target", "fock:4", "--epsilon", 0.3,
+             "--delta", "none", "--method", "clt", "--out", report)
+    assert rc == 0
+    assert json.loads(report.read_text())["p"] == 3
+
+
 def test_profile_cmd(tmp_path):
     out = tmp_path / "profile.csv"
     rc = run(tmp_path, "profile", "--target", "fock:2", "--k-max", 2,

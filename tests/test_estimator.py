@@ -515,6 +515,9 @@ def test_radial_range_stack_matches_lagroots():
                           "kernel_range": 5.183672238781993}),
         ((3, 0.1, 0.01), {"N": 511563022135, "p": 4, "eta": 0.20861676019474598, "p_n": 5,
                           "kernel_range": 46.39775566279569}),
+        # near eta = 1, p_n of Fock 4 passes the log-factorial table
+        ((4, 0.2, 0.05), {"N": 4997669590981, "p": 3, "eta": 0.18025833084077197, "p_n": 4,
+                          "kernel_range": 27.9258311876235}),
     ],
 )
 def test_optimize_params_reports_pinned(args, report):

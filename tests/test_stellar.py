@@ -9,7 +9,7 @@ from stellarq import fockspace as fs, stellar
 from stellarq.errors import DomainError, OptimizerError, UndefinedSubtractionError
 from stellarq.estimator import ConfidenceEstimate
 
-from _oracles import gaussian_element_closed_form
+from _oracles import ascend_scalar, gaussian_element_closed_form, rank_bounded_objective_scalar
 
 GAUSS_BOUND_ONE = 3 * math.sqrt(3) / (4 * math.e)
 
@@ -177,9 +177,14 @@ def _box():
     return lo, -lo
 
 
+def _ascend_alone(objective, x0, lo, hi):
+    """One restart of the lockstep ascent, alone, on a single-point objective(x) -> (F, dF/dx)."""
+    return stellar._ascend_all(lambda xs: [np.array(t) for t in zip(*map(objective, xs))], [x0], lo, hi)[0]
+
+
 def _stalled(x, grad):
     """The ascent from x on a flat F that reports ``grad``: no trial step rises."""
-    return stellar._ascend(lambda _: (0.0, np.array(grad, dtype=float)), x, *_box())
+    return _ascend_alone(lambda _: (0.0, np.array(grad, dtype=float)), x, *_box())
 
 
 def test_failed_line_search_converged_only_when_stationary():
@@ -192,7 +197,7 @@ def test_failed_line_search_converged_only_when_stationary():
     assert _stalled([4.0, 1.0, 0.2, -0.3], [0.6, 0.0, 0.0, 0.0])["converged"]
     assert not _stalled([4.0, 1.0, 0.2, -0.3], [-0.6, 0.0, 0.0, 0.0])["converged"]
     # the iteration cap never counts as converged: F = theta rises without end
-    capped = stellar._ascend(lambda x: (float(x[1]), np.array([0.0, 1.0, 0.0, 0.0])), x, *_box())
+    capped = _ascend_alone(lambda x: (float(x[1]), np.array([0.0, 1.0, 0.0, 0.0])), x, *_box())
     assert not capped["converged"] and capped["params"][1] > 1e6
 
 
@@ -218,7 +223,7 @@ def test_ascent_reaches_the_maximum_of_a_concave_quadratic():
             star *= 3.0  # r, Re beta and Im beta often past the box
         best = np.clip(star, lo, hi)
         x0 = rng.uniform(-3.0, 3.0, size=4)
-        res = stellar._ascend(
+        res = _ascend_alone(
             lambda x: (-(x - best) @ a @ (x + best - 2.0 * star), -2.0 * a @ (x - star)), x0, lo, hi
         )
         assert res["converged"]
@@ -226,6 +231,46 @@ def test_ascent_reaches_the_maximum_of_a_concave_quadratic():
         want = stellar._unsigned(best)  # the report's r is unsigned
         atol = math.sqrt(stellar._FTOL / eig.min())
         np.testing.assert_allclose(res["params"], want, rtol=0, atol=atol)
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_restart_report_does_not_depend_on_its_batch(seed):
+    # for a random core of each rank 1-6 and every k, each restart of a batch
+    # of 33 reports the same objective, parameters, convergence and evaluation
+    # count, bit for bit, at the mirrored place in the reversed batch, and four
+    # random restarts of it the same again when they ascend alone
+    rng = np.random.default_rng(seed)
+    lo, hi = _box()
+    for rank in range(1, 7):
+        c = rng.normal(size=rank + 1) + 1j * rng.normal(size=rank + 1)
+        c /= np.linalg.norm(c)
+        for k in range(1, rank + 2):
+            objective = stellar._objective(c, k)
+            starts = stellar._restart_points(rng, 32, k > rank)
+            batch = stellar._ascend_all(objective, starts, lo, hi)
+            assert stellar._ascend_all(objective, starts[::-1], lo, hi) == batch[::-1], (rank, k)
+            for i in rng.choice(33, size=4, replace=False):
+                assert stellar._ascend_all(objective, [starts[i]], lo, hi) == [batch[i]], (rank, k, i)
+
+
+def test_lockstep_ceilings_match_the_scalar_oracle():
+    # the same starts ascended one at a time, in numpy 4-vectors, on scalar
+    # ladder blocks (tests/_oracles.py)
+    rng = np.random.default_rng(21)
+    cores = [np.eye(n + 1)[n] for n in range(1, 11)]
+    for _ in range(2):
+        c = rng.normal(size=4) + 1j * rng.normal(size=4)
+        cores.append(c / np.linalg.norm(c))
+    lo, hi = _box()
+    for c in cores:
+        for k in range(1, c.size):
+            objective = rank_bounded_objective_scalar(c.astype(complex), k)
+            for seed in range(5):
+                pt = stellar.max_fidelity_rank_bounded(fs.CoreState.from_unnormalized(c), k, restarts=32, seed=seed)
+                starts = stellar._restart_points(np.random.default_rng(seed), 32, False)
+                want = max(ascend_scalar(objective, x0, lo, hi)["objective"] for x0 in starts)
+                assert max(r["objective"] for r in pt.optimizer_report) == pytest.approx(want, abs=1e-12), (c, k, seed)
 
 
 def test_canonical_params_keep_the_fidelity():

@@ -98,21 +98,16 @@ def pn_threshold(n: int, p: int, eta: float) -> int:
             raise DomainError("pn_threshold failed to terminate")
 
 
-def _log_binomial(n: int, k: int) -> float:
-    """ln C(n, k); past the log-factorial table (p_n -> inf as eta -> 1) by the lgamma it is built of."""
-    lg = math.lgamma
-    return specfun.log_binomial(n, k) if n <= specfun._MAX_N else lg(n + 1.0) - lg(k + 1.0) - lg(n - k + 1.0)
-
-
 def _bias_full(n: int, p: int, eta: float) -> float:
-    """Full-width bias bound eta^{p_n} C(p_n-1, p-1) C(n+p_n, n)."""
+    """Full-width bias bound eta^{p_n} C(p_n-1, p-1) C(n+p_n, n), inf past the float range."""
     pn = pn_threshold(n, p, eta)
-    log = (
-        pn * math.log(eta)
-        + _log_binomial(pn - 1, p - 1)
-        + _log_binomial(n + pn, n)
-    )
-    return math.exp(log)
+    lg = math.lgamma  # of which specfun's log-factorial table is built; p_n -> inf as eta -> 1 leaves it
+    log = pn * math.log(eta) + (lg(pn) - lg(p) - lg(pn - p + 1.0))  # eta^{p_n} C(p_n - 1, p - 1)
+    log += lg(n + pn + 1.0) - lg(n + 1.0) - lg(pn + 1.0)  # C(n + p_n, n)
+    try:
+        return math.exp(log)
+    except OverflowError:
+        return math.inf
 
 
 def bias_bound(n: int, p: int, eta: float) -> float:
@@ -614,10 +609,14 @@ def _objective(n: int, p: int, etas, epsilon: float) -> np.ndarray:
     etas = np.atleast_1d(etas)
     lam = np.array([epsilon - bias_bound(n, p, e) for e in etas])
     scale = np.array([e ** (n + 1) for e in etas])
-    js, ok = np.zeros(etas.size), lam > 0
+    js, ok, w = np.zeros(etas.size), lam > 0, []
+    for i in np.flatnonzero(ok):
+        try:
+            w.append(_diag_series([(n, 1.0)], p, etas[i]) * scale[i])
+        except OverflowError:  # weights past the floats: no kernel to run at this eta, J = 0
+            ok[i] = False
     if ok.any():
-        w = np.array([_diag_series([(n, 1.0)], p, e) * s for e, s in zip(etas[ok], scale[ok])])
-        js[ok] = lam[ok] * scale[ok] / _radial_range(w, etas[ok])
+        js[ok] = lam[ok] * scale[ok] / _radial_range(np.array(w), etas[ok])
     return js
 
 
@@ -648,15 +647,15 @@ def optimize_params(n: int, epsilon: float, delta: float) -> OptimizeResult:
         if j_p < js[i]:
             eta_p, j_p = float(etas[i]), float(js[i])
         per_p.append((p, float(eta_p), float(j_p)))
-    feasible = [(p, e, j) for p, e, j in per_p if e is not None and j > 0]
-    if not feasible:
+    # J = lambda / R_raw, so N(J) is the Hoeffding count at unit range; an N past the floats is no option
+    ns = [(p, e, j, _hoeffding_n(delta, 1.0, j)) for p, e, j in per_p if e is not None and j * j > 0]
+    ns = [v for v in ns if v[3] < math.inf]
+    if not ns:
         raise InfeasiblePrecisionError(
             f"no (p, eta) with p <= {OPTIMIZE_P_MAX} makes epsilon={epsilon} feasible "
-            f"for target Fock {n}",
+            f"for target Fock {n} with a sample count in the float range",
             p_max=OPTIMIZE_P_MAX,
         )
-    # J = lambda / R_raw, so N(J) is the Hoeffding count at unit range
-    ns = [(p, e, j, _hoeffding_n(delta, 1.0, j)) for p, e, j in feasible]
     n_min = min(v[3] for v in ns)
     p_sel, eta_sel, _, _ = min(
         (v for v in ns if v[3] <= 1.01 * n_min), key=lambda v: v[0]

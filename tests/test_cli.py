@@ -224,6 +224,18 @@ def test_optimize_params_row(tmp_path):
     assert rep["p_n"] == 2
 
 
+@pytest.mark.parametrize("n, code", [(70, 0), (100, 2)])
+def test_optimize_params_large_fock_exits_cleanly(n, code, tmp_path, capsys):
+    # Fock 70 needs a finite N though some p's J^2 underflows; no p at Fock 100 has an N in the floats
+    report = tmp_path / "row.json"
+    assert run(tmp_path, "optimize-params", "--n", n, "--epsilon", 0.2, "--delta", 0.05, "--out", report) == code
+    if code:
+        assert json.loads(capsys.readouterr().err)["error"] == "infeasible-precision"
+        assert not report.exists()
+    else:
+        assert json.loads(report.read_text())["p"] == 8
+
+
 def test_fock4_parameters_without_p_or_eta(tmp_path):
     # optimize_params' eta grid reaches p_n past the log-factorial table for Fock 4
     report = tmp_path / "row.json"

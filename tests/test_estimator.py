@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre
 
-from stellarq import dhd, estimator as est, fockspace as fs
+from stellarq import dhd, estimator as est, fockspace as fs, specfun
 from stellarq.negativity import witness_operator
 from stellarq.errors import (
     DomainError,
@@ -540,6 +540,27 @@ def test_optimize_params_table_rows():
     with pytest.raises(InfeasiblePrecisionError) as info:
         est.optimize_params(2, 1e-30, 0.05)
     assert info.value.details["p_max"] == est.OPTIMIZE_P_MAX == 8
+
+
+def test_optimize_params_past_the_float_range_is_infeasible():
+    # the bias bound passes the floats near eta = 1 and the kernel weights at small eta:
+    # there the bias is inf and J is 0, not an OverflowError (whole runs: test_cli's
+    # test_optimize_params_large_fock_exits_cleanly)
+    assert est.bias_bound(500, 1, 0.999) == math.inf
+    assert est._objective(500, 8, [1e-3, 0.5], 0.2).tolist() == [0.0, 0.0]
+
+
+def test_bias_bound_matches_the_log_factorial_table():
+    # math.lgamma, not the table, so p_n may pass it; inside it the bits are the table's
+    rng = np.random.default_rng(5)
+    for _ in range(2_000):
+        n, p, eta = int(rng.integers(0, 200)), int(rng.integers(1, 9)), float(rng.uniform(1e-3, 0.999))
+        pn = est.pn_threshold(n, p, eta)
+        if n + pn > 10_000:
+            continue
+        log = pn * math.log(eta) + specfun.log_binomial(pn - 1, p - 1) + specfun.log_binomial(n + pn, n)
+        if log < 709:  # math.exp(log) is finite
+            assert est._bias_full(n, p, eta) == math.exp(log)
 
 
 def test_series_overflow_where_gaussian_is_nonzero_stays_visible():

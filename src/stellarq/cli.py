@@ -48,7 +48,7 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_manifest(argv, inputs, outputs, seed, t0) -> None:
+def _write_manifest(argv, inputs, out, seed, t0) -> None:
     cfg = json.dumps(argv, sort_keys=True).encode()
     manifest = {
         "command": ["stellarq"] + list(argv),
@@ -60,11 +60,10 @@ def _write_manifest(argv, inputs, outputs, seed, t0) -> None:
             "python": sys.version.split()[0],
         },
         "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
+        "outputs": {str(out): _sha256(out)},
         "wall_time_s": time.monotonic() - t0,
     }
-    for out in outputs:
-        _write_json(f"{out}.manifest.json", manifest)
+    _write_json(f"{out}.manifest.json", manifest)
 
 
 def _complex_arg(text: str, what: str) -> complex:
@@ -257,12 +256,12 @@ def _at_least(flag: str, value, least: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each writes args.out and returns (summary, inputs, seed), from
+# which ``main`` prints the one-line JSON summary and writes the manifest
 # ---------------------------------------------------------------------------
 
 
-def cmd_state(args, argv) -> int:
-    t0 = time.monotonic()
+def cmd_state(args):
     if args.spec_file:
         spec = _load_input(_read_json, args.spec_file, "spec file")
         inputs = [args.spec_file]
@@ -276,43 +275,21 @@ def cmd_state(args, argv) -> int:
         inputs = []
     state = build_state_from_spec(spec)
     _write_json(args.out, state.to_json_dict())
-    print(
-        json.dumps(
-            {
-                "out": args.out,
-                "dim": state.dim,
-                "trace_deficit": state.trace_deficit,
-                "purity": state.purity,
-            }
-        )
-    )
-    _write_manifest(argv, inputs, [args.out], None, t0)
-    return 0
+    summary = {"out": args.out, "dim": state.dim, "trace_deficit": state.trace_deficit, "purity": state.purity}
+    return summary, inputs, None
 
 
-def cmd_sample(args, argv) -> int:
-    t0 = time.monotonic()
+def cmd_sample(args):
     _at_least("--n", args.n, 0)
     _at_least("--workers", args.workers, 1)
     state = _load_state(args.state)
     zeta = _complex_arg(args.zeta, "--zeta") if args.zeta else 0j
     batch = dhd.sample_unbalanced(state, zeta, args.n, args.seed, n_workers=args.workers)
     dhd.save_csv(batch, args.out)
-    print(
-        json.dumps(
-            {
-                "out": args.out,
-                "n": batch.n,
-                "acceptance_rate": batch.acceptance_rate,
-            }
-        )
-    )
-    _write_manifest(argv, [args.state], [args.out], args.seed, t0)
-    return 0
+    return {"out": args.out, "n": batch.n, "acceptance_rate": batch.acceptance_rate}, [args.state], args.seed
 
 
-def cmd_estimate(args, argv) -> int:
-    t0 = time.monotonic()
+def cmd_estimate(args):
     target, kind = _parse_target(args.target)
     explicit = _explicit_params(args)
     try:
@@ -362,23 +339,17 @@ def cmd_estimate(args, argv) -> int:
     if optimize_delta is not None:
         report["optimize_delta"] = optimize_delta
     _write_json(args.out, report)
-    print(json.dumps({"out": args.out, "value": report["value"], "confidence": report["confidence"]}))
-    _write_manifest(argv, [args.samples], [args.out], batch.seed, t0)
-    return 0
+    summary = {"out": args.out, "value": report["value"], "confidence": report["confidence"]}
+    return summary, [args.samples], batch.seed
 
 
-def cmd_optimize_params(args, argv) -> int:
-    t0 = time.monotonic()
-    result = estimator.optimize_params(args.n, args.epsilon, args.delta)
-    report = result.to_report_dict()
+def cmd_optimize_params(args):
+    report = estimator.optimize_params(args.n, args.epsilon, args.delta).to_report_dict()
     _write_json(args.out, report)
-    print(json.dumps(report))
-    _write_manifest(argv, [], [args.out], None, t0)
-    return 0
+    return report, [], None
 
 
-def cmd_profile(args, argv) -> int:
-    t0 = time.monotonic()
+def cmd_profile(args):
     _at_least("--k-max", args.k_max, 1)
     _at_least("--restarts", args.restarts, 0)
     _at_least("--rank1-sweep", args.rank1_sweep, 1)
@@ -401,13 +372,10 @@ def cmd_profile(args, argv) -> int:
             raise UsageError("the target has stellar rank 0, so --k-max has no default; give --k-max 1 or more")
         points = stellar.fidelity_profile(target, k_max, restarts=args.restarts, seed=args.seed)
         stellar.profile_to_csv(points, args.out)
-    print(json.dumps({"out": args.out}))
-    _write_manifest(argv, [], [args.out], args.seed, t0)
-    return 0
+    return {"out": args.out}, [], args.seed
 
 
-def cmd_witness_scan(args, argv) -> int:
-    t0 = time.monotonic()
+def cmd_witness_scan(args):
     explicit = _explicit_params(args)
     _at_least("--n-samples", args.n_samples, 1)
     _at_least("--workers", args.workers, 1)
@@ -441,9 +409,7 @@ def cmd_witness_scan(args, argv) -> int:
     )
     negativity.scan_to_csv(results, args.out)
     certified = sum(1 for r in results if r.negativity_certified)
-    print(json.dumps({"out": args.out, "points": len(results), "certified": certified}))
-    _write_manifest(argv, [args.state], [args.out], args.seed, t0)
-    return 0
+    return {"out": args.out, "points": len(results), "certified": certified}, [args.state], args.seed
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +510,19 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse(argv)
-        return 0 if args is None else args.func(args, argv)
+        if args is None:
+            return 0
+        t0 = time.monotonic()
+        summary, inputs, seed = args.func(args)
     except UsageError as exc:
         print(json.dumps(exc.to_dict()), file=sys.stderr)
         return _EXIT_USAGE
     except StellarQError as exc:
         print(json.dumps(exc.to_dict()), file=sys.stderr)
         return _EXIT_ERROR
+    print(json.dumps(summary))
+    _write_manifest(argv, inputs, args.out, seed, t0)
+    return 0
 
 
 if __name__ == "__main__":

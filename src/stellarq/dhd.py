@@ -68,7 +68,6 @@ class SampleBatch:
     samples: np.ndarray
     seed: int
     acceptance_rate: float
-    state_fingerprint: str = ""
     zeta: complex = 0j
     translation: complex = 0j
 
@@ -88,7 +87,6 @@ class SampleBatch:
             np.array_equal(self.samples, other.samples)
             and self.seed == other.seed
             and self.acceptance_rate == other.acceptance_rate
-            and self.state_fingerprint == other.state_fingerprint
             and self.zeta == other.zeta
             and self.translation == other.translation
         )
@@ -229,12 +227,7 @@ def sample_q(
         )
     samples = np.empty(n_samples, dtype=complex)
     if n_samples == 0:
-        return SampleBatch(
-            samples=samples,
-            seed=int(seed),
-            acceptance_rate=1.0,
-            state_fingerprint=state.fingerprint(),
-        )
+        return SampleBatch(samples=samples, seed=int(seed), acceptance_rate=1.0)
     cdf = np.cumsum(np.maximum(state.populations(), 0.0))
     table, step = _phase_table(state)
     dim, cols = table.shape
@@ -256,12 +249,7 @@ def sample_q(
             proposed = sum(pool.map(run, range(n_workers)))
     else:
         proposed = run(0)
-    return SampleBatch(
-        samples=samples,
-        seed=int(seed),
-        acceptance_rate=n_samples / proposed,
-        state_fingerprint=state.fingerprint(),
-    )
+    return SampleBatch(samples=samples, seed=int(seed), acceptance_rate=n_samples / proposed)
 
 
 def translate_samples(batch: SampleBatch, alpha: complex) -> SampleBatch:

@@ -81,6 +81,10 @@ def _check_eta(eta: float, p: int = 1) -> None:
         raise DomainError("p must be a positive integer")
 
 
+def _past_float_range(p: int, eta: float) -> InfeasiblePrecisionError:
+    return InfeasiblePrecisionError(f"the kernel at p={p}, eta={eta} passes the float range")
+
+
 def pn_threshold(n: int, p: int, eta: float) -> int:
     """Smallest q >= p with eta <= (1 - (p-1)/q)(1 - n/(n+q+1)).
 
@@ -159,11 +163,14 @@ def _series_weights(entries, p: int, eta: float) -> dict:
         d, m = abs(l - k), min(k, l)
         for j in range(p):
             q = m + j
-            weights[l - k][q] += a * (-1) ** m * math.exp(
-                0.5 * ((lf[k + j] - lf[k] - lf[j]) + (lf[l + j] - lf[l] - lf[j]))
-                + 0.5 * (lf[q] - lf[q + d])
-                - (1 + m + d / 2) * log_eta
-            )
+            try:
+                weights[l - k][q] += a * (-1) ** m * math.exp(
+                    0.5 * ((lf[k + j] - lf[k] - lf[j]) + (lf[l + j] - lf[l] - lf[j]))
+                    + 0.5 * (lf[q] - lf[q + d])
+                    - (1 + m + d / 2) * log_eta
+                )
+            except OverflowError as exc:
+                raise _past_float_range(p, eta) from exc
     return weights
 
 
@@ -299,7 +306,12 @@ def kernel_range(n_or_operator, p: int, eta: float) -> float:
         w = _diag_series([(n, 1.0)], p, eta) * eta ** (n + 1)
     else:
         w = _diag_series(_diagonal_entries_checked(n_or_operator), p, eta)
-    return float(_radial_range(w[None], np.array([eta]))[0])
+    with warnings.catch_warnings():  # a range past the float range is refused, not warned of
+        warnings.simplefilter("ignore", RuntimeWarning)
+        r = float(_radial_range(w[None], np.array([eta]))[0])
+    if not math.isfinite(r):
+        raise _past_float_range(p, eta)
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +523,19 @@ def estimate(batch, config: EstimatorConfig) -> ConfidenceEstimate:
     if n == 0:
         raise DomainError("cannot estimate from an empty batch")
     _lambda(config.epsilon, config.bias())  # fail before the kernel pass
-    values = kernel_values(samples, config)
-    mean = _chunked_mean(values)
-    variance = None  # only the CLT interval reads it
-    if config.bound_method == CLT and config.is_diagonal:
-        variance = float(np.var(values))
-    elif config.bound_method == CLT:
-        variance = float(np.mean(np.abs(values - mean) ** 2))
+    if config.bound_method == HOEFFDING and config.is_diagonal:
+        config.hoeffding_range  # so does a range past the float range
+    with warnings.catch_warnings():  # a value past the float range is refused, not warned of
+        warnings.simplefilter("ignore", RuntimeWarning)
+        values = kernel_values(samples, config)
+        if not np.isfinite(values.sum()):  # before _chunked_mean, whose fsum raises on inf - inf
+            raise _past_float_range(config.p, config.eta)
+        mean = _chunked_mean(values)
+        variance = None  # only the CLT interval reads it
+        if config.bound_method == CLT and config.is_diagonal:
+            variance = float(np.var(values))
+        elif config.bound_method == CLT:
+            variance = float(np.mean(np.abs(values - mean) ** 2))
     return estimate_from_moments(config, n, mean, variance)
 
 
@@ -530,6 +548,8 @@ def estimate_from_moments(
     which only the CLT method reads.
     """
     lam = _lambda(config.epsilon, config.bias())
+    if not np.isfinite(mean) or not math.isfinite(0.0 if variance is None else variance):
+        raise _past_float_range(config.p, config.eta)
     common = dict(
         n_samples=int(n),
         bias_bound=config.bias(),
@@ -613,7 +633,7 @@ def _objective(n: int, p: int, etas, epsilon: float) -> np.ndarray:
     for i in np.flatnonzero(ok):
         try:
             w.append(_diag_series([(n, 1.0)], p, etas[i]) * scale[i])
-        except OverflowError:  # weights past the floats: no kernel to run at this eta, J = 0
+        except InfeasiblePrecisionError:  # weights past the floats: no kernel to run at this eta, J = 0
             ok[i] = False
     if ok.any():
         js[ok] = lam[ok] * scale[ok] / _radial_range(np.array(w), etas[ok])

@@ -86,7 +86,8 @@ class GaussianUnitaryParams:
         shift of G = D(gamma) S(xi) (see ``_affine``).
         """
         theta_p = math.remainder(self.squeeze_theta + math.pi, 2 * math.pi)
-        return GaussianUnitaryParams(self.squeeze_r, theta_p, -complex(_affine(self)[2]))
+        gamma = _affine(self.squeeze_r, self.squeeze_theta, self.displacement)[2]
+        return GaussianUnitaryParams(self.squeeze_r, theta_p, -complex(gamma))
 
 
 class TruncatedState:
@@ -98,15 +99,14 @@ class TruncatedState:
       * Tr(rho) + trace_deficit = 1 within 1e-9.
     """
 
-    def __init__(self, matrix, trace_deficit: float = 0.0, validate: bool = True):
+    def __init__(self, matrix, trace_deficit: float = 0.0):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError("state matrix must be square")
         self.matrix = m
         self.dim = m.shape[0]
         self.trace_deficit = float(trace_deficit)
-        if validate:
-            self.validate()
+        self.validate()
 
     def validate(self):
         m = self.matrix
@@ -145,15 +145,6 @@ class TruncatedState:
         p = self.populations() / self.trace
         m1 = float(k @ p)
         return float((k * k) @ p - m1 * m1)
-
-    def fingerprint(self) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(np.int64(self.dim).tobytes())
-        h.update(np.ascontiguousarray(self.matrix).tobytes())
-        h.update(np.float64(self.trace_deficit).tobytes())
-        return h.hexdigest()
 
     def to_json_dict(self) -> dict:
         return {
@@ -512,8 +503,12 @@ def _squeeze_matrix_sectors(n_rows: int, m_cols: int, r: float, th: float, pad: 
 
 
 def _squeeze_matrix_padded(n_rows: int, m_cols: int, r: float, th: float) -> np.ndarray:
-    """The squeeze block on pads 64 * 1.5^k from max(n_rows, m_cols) + 48 on,
-    until two in a row agree to 1e-12 or the pad reaches _MAX_AUTO_DIM."""
+    """The squeeze block on pads 64, 96, 144, ... (each int(1.5 x) the last) from the
+    first of at least max(n_rows, m_cols) + 48 on, until two in a row agree to 1e-12.
+
+    A pad below _MAX_AUTO_DIM that fails to agree is followed by one more, so the last
+    pad solved can pass the cap (3,687 -> 5,530 levels). When no two pads agree, the
+    last pad's block is returned unverified, with no error."""
     pad = 64
     while pad < max(n_rows, m_cols) + 48:
         pad = int(1.5 * pad)
@@ -574,7 +569,7 @@ def gaussian_matrix(n_rows: int, m_cols: int, g: GaussianUnitaryParams) -> np.nd
     if b == 0:
         return _squeeze_block(n_rows, m_cols, r, th)
     tall = n_rows > _SQUEEZE_RECURRENCE_MAX >= m_cols
-    s_side, d_side, c = (m_cols, n_rows, complex(_affine(g)[2])) if tall else (n_rows, m_cols, b)
+    s_side, d_side, c = (m_cols, n_rows, complex(_affine(r, th, b)[2])) if tall else (n_rows, m_cols, b)
     start = min(s_side + 32 + (60 + 3 * s_side) / -math.log(math.tanh(min(r, 10.0))),  # tanh 10 < 1
                 d_side + 32 + abs(c) ** 2 + 3.5 * abs(c) * math.sqrt(d_side + 16))
     if tall:
@@ -591,16 +586,15 @@ def gaussian_matrix_element(n: int, m: int, g: GaussianUnitaryParams) -> complex
     return complex(gaussian_matrix(n + 1, m + 1, g)[n, m])
 
 
-def _affine(g: GaussianUnitaryParams):
-    """Heisenberg map G^dag a G = A a + B a^dag + gamma of G = S(xi) D(beta).
+def _affine(r, th, beta):
+    """Heisenberg map G^dag a G = A a + B a^dag + gamma of G = S(r e^{i th}) D(beta),
+    elementwise over arrays (r, th, beta); A = cosh r is real.
 
     The shift gamma is also the displacement with G = D(gamma) S(xi).
     """
-    c, s = math.cosh(g.squeeze_r), math.sinh(g.squeeze_r)
-    a_coef = c + 0j
-    b_coef = -cmath.exp(-1j * g.squeeze_theta) * s
-    gamma = g.displacement * c + np.conj(g.displacement) * b_coef
-    return a_coef, b_coef, gamma
+    a = np.cosh(r)
+    b = -np.exp(-1j * th) * np.sinh(r)
+    return a, b, beta * a + np.conj(beta) * b
 
 
 # largest n_rows * m_cols for which _ladder_block is accurate to 1e-11
@@ -632,8 +626,7 @@ def _ladder_block(n_rows: int, m_cols: int, g) -> np.ndarray:
     if isinstance(g, GaussianUnitaryParams):
         return _ladder_block(n_rows, m_cols, ([g.squeeze_r], [g.squeeze_theta], [g.displacement]))[0]
     r, th, beta = map(np.asarray, g)
-    a, b = np.cosh(r), -np.exp(-1j * th) * np.sinh(r)
-    gamma = beta * a + beta.conj() * b
+    a, b, gamma = _affine(r, th, beta)
     ratio = b / a
     shift = gamma - ratio * gamma.conj()
     root = np.sqrt(np.arange(max(n_rows, m_cols)))
@@ -663,8 +656,8 @@ def compose_gaussians(g1: GaussianUnitaryParams, g2: GaussianUnitaryParams):
     S(xi') D(beta') R(phi) with phi = -arg A, and
     S(xi') D(beta') R(phi) = R(phi) S(xi' e^{-2i phi}) D(beta' e^{i phi}).
     """
-    a1, b1, c1 = _affine(g1)
-    a2, b2, c2 = _affine(g2)
+    a1, b1, c1 = _affine(g1.squeeze_r, g1.squeeze_theta, g1.displacement)
+    a2, b2, c2 = _affine(g2.squeeze_r, g2.squeeze_theta, g2.displacement)
     a = a1 * a2 + b1 * np.conj(b2)
     b = a1 * b2 + b1 * np.conj(a2)
     gamma = a1 * c2 + b1 * np.conj(c2) + c1

@@ -298,7 +298,7 @@ def ladder_block_scalar(n_rows: int, m_cols: int, g: GaussianUnitaryParams) -> n
     form)."""
     from stellarq.fockspace import _affine
 
-    a, b, gamma = (complex(t) for t in _affine(g))
+    a, b, gamma = (complex(t) for t in _affine(g.squeeze_r, g.squeeze_theta, g.displacement))
     r, beta = g.squeeze_r, complex(g.displacement)
     root = [math.sqrt(m) for m in range(max(n_rows, m_cols))]
     ratio = b / a

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -421,6 +422,58 @@ def test_negative_pairs_take_the_equals_form(cli_inputs, tmp_path, capsys):
         assert run(tmp_path, *argv, "--out", tmp_path / "space") == 64
         assert json.loads(capsys.readouterr().err)["error"] == "usage-error"
     assert not (tmp_path / "space").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, keys, seed, inputs",
+    [
+        (["state", "--spec", '{"fock":{"n":1,"dim":8}}'], {"out", "dim", "trace_deficit", "purity"}, None, []),
+        (["sample", "--state", "{state}", "--n", "500", "--seed", "3"], {"out", "n", "acceptance_rate"}, 3,
+         ["state"]),
+        # the seed of an estimate is the one in its sample file's header
+        (["estimate", "--samples", "{samples}", "--target", "fock:1", "--epsilon", "0.3", "--delta", "none",
+          "--method", "clt", "--p", "2", "--eta", "0.26"], {"out", "value", "confidence"}, 1, ["samples"]),
+        (["optimize-params", "--n", "1", "--epsilon", "0.3"],
+         {"N", "p", "eta", "p_n", "epsilon", "delta", "kernel_range"}, None, []),
+        (["profile", "--target", "fock:1", "--k-max", "1", "--restarts", "1", "--seed", "5"], {"out"}, 5, []),
+        (["witness-scan", "--state", "{state}", "--grid", "2x2:1", "--n-samples", "2000", "--epsilon", "0.2",
+          "--p", "2", "--eta", "0.26", "--seed", "4"], {"out", "points", "certified"}, 4, ["state"]),
+    ],
+    ids=["state", "sample", "estimate", "optimize-params", "profile", "witness-scan"],
+)
+def test_every_subcommand_prints_one_summary_and_writes_its_manifest(argv, keys, seed, inputs, cli_inputs,
+                                                                     tmp_path, capsys):
+    def digest(path):
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    out = tmp_path / "out"
+    argv = [str(cli_inputs[a[1:-1]]) if a in ("{state}", "{samples}") else a for a in argv] + ["--out", str(out)]
+    capsys.readouterr()  # what building the shared inputs printed
+    assert main(argv) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert set(json.loads(line)) == keys
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["command"] == ["stellarq"] + argv
+    assert manifest["seed"] == seed
+    assert manifest["inputs"] == {str(cli_inputs[k]): digest(cli_inputs[k]) for k in inputs}
+    assert manifest["outputs"] == {str(out): digest(out)}
+
+
+@pytest.mark.parametrize(
+    "target, eta, extra",
+    [("fock:100", 0.003, []), ("fock:100", 0.003, ["--delta", "none"]), ("fock:100", 0.003, ["--method", "clt"]),
+     ("fock:300", 0.001, ["--method", "clt"])],
+    ids=["hoeffding", "delta-none", "clt", "weights"],
+)
+def test_kernel_past_the_float_range_exits_2(target, eta, extra, cli_inputs, tmp_path, capsys):
+    # the Fock-100 kernel at p = 1, eta = 0.003 overflows where its Gaussian factor is
+    # nonzero; the Fock-300 kernel's weights at eta = 0.001 pass the floats themselves
+    report = tmp_path / "rep.json"
+    argv = ["estimate", "--samples", cli_inputs["samples"], "--target", target, "--p", 1, "--eta", eta,
+            "--epsilon", 0.2, *extra, "--out", report]
+    assert run(tmp_path, *argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "infeasible-precision"
+    assert not report.exists()
 
 
 def test_help_and_version_exit_0(capsys):

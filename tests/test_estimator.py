@@ -563,6 +563,14 @@ def test_bias_bound_matches_the_log_factorial_table():
             assert est._bias_full(n, p, eta) == math.exp(log)
 
 
+def test_required_samples_refuses_a_kernel_past_the_float_range():
+    # the Fock-100 kernel at p = 1, eta = 0.003 overflows where its Gaussian
+    # factor is nonzero, so its range is not a number
+    cfg = est.EstimatorConfig(fs.TargetOperator.fock_projector(100), 1, 0.003, 0.2)
+    with pytest.raises(InfeasiblePrecisionError, match="float range"):
+        est.required_samples(cfg)
+
+
 def test_series_overflow_where_gaussian_is_nonzero_stays_visible():
     # a weight of 1e308 times e^{-(1 - eta) x} = e^5 at x = -10 overflows where
     # the Gaussian factor is nonzero: the inf is kept and warned of, not zeroed

@@ -169,7 +169,7 @@ def test_gaussian_matrix_orders_agree(n_rows, m_cols, r, th, br, bi):
         # only where both S|m> and the rows of D(gamma) span more than the
         # 4,096-level cap
         s = fs._squeeze_matrix_recurrence(fs._MAX_AUTO_DIM, m_cols, r, th)
-        d = fs._displacement_matrix(n_rows, fs._MAX_AUTO_DIM, complex(fs._affine(g)[2])).T
+        d = fs._displacement_matrix(n_rows, fs._MAX_AUTO_DIM, complex(fs._affine(r, th, g.displacement)[2])).T
         for cut in (s, d):
             left = np.maximum(1.0 - np.linalg.norm(cut, axis=0) ** 2, np.linalg.norm(cut[-16:], axis=0))
             assert np.max(left) > 1e-13
@@ -625,7 +625,7 @@ def test_photon_subtract_matches_stellar_derivative():
     # describe the same state
     poly = StellarPoly((0.3, 1.0), quad=-0.15, lin=0.2)
     amps = poly.fock_amplitudes(64)
-    state = fs.TruncatedState(np.outer(amps, amps.conj()), trace_deficit=0.0, validate=False)
+    state = fs.TruncatedState(np.outer(amps, amps.conj()), trace_deficit=0.0)
     sub_matrix = fs.photon_subtract(state)
     sub_poly = stellar_subtract(poly)
     amps2 = sub_poly.fock_amplitudes(63)

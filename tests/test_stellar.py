@@ -318,7 +318,6 @@ def test_mixture_attainability():
         mix = fs.TruncatedState(
             p * vacuum.matrix + (1 - p) * sigma.matrix,
             trace_deficit=(1 - p) * sigma.trace_deficit,
-            validate=False,
         )
         got = fs.fidelity(mix, fs.CoreState.fock(2))
         assert got == pytest.approx((1 - p) * pt.max_fidelity, abs=1e-8)

@@ -15,9 +15,9 @@ trigonometric polynomial c_0 + 2 Re sum_m c_m(s) e^{i m phi}, drawn by
 rejection against a uniform phase under its exact bound
 c_0 + 2 sum_m |c_m(s)|; diagonal states accept every phase at once.
 Draws come from a counter-based RNG (Philox): every block of ``BLOCK``
-consecutive sample indices owns a private counter region, so the output
-is a pure function of (state, seed, n_samples) regardless of how blocks
-are partitioned across workers.
+consecutive sample indices draws only from its own counter region, so
+the output is a pure function of (state, seed, n_samples) however the
+blocks are shared between workers or finish their rejection tails.
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ BLOCK = 4096
 # (_PHASE_SCALE / s)^m for m < 12.5 s, stay normal doubles for s < 70,
 # past the radii of any state with dim <= 4096.
 _PHASE_SCALE = 30.0
+# A block parks its rejection tail once at most _TAIL rows are pending, and the
+# tails of _PARK blocks (at most BLOCK rows) finish together in one pass a round.
+_TAIL, _PARK = 64, 16
 
 
 @dataclass(frozen=True)
@@ -92,32 +95,33 @@ class SampleBatch:
         )
 
 
-def _poisson_weights(s2: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
-    """|<k|z>|^2 = e^{-s^2} s^{2k} / k! at |z|^2 = s2, as an (s2.size, dim) array.
+def _poisson_weights(s2: np.ndarray, lf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|<k|z>|^2 = e^{-s^2} s^{2k} / k! at |z|^2 = s2, one row per level k < lf.size.
 
-    Built in log space, so no entry overflows at any radius or dim; written
-    into ``out`` when one is given.
+    ``lf`` holds log k!.  Built in log space, so no entry overflows at any
+    radius or dim; written into ``out`` when one is given.
     """
     s2 = np.asarray(s2, dtype=float).ravel()
     if out is None:
-        out = np.empty((s2.size, dim))
-    out[:, 0] = 0.0
+        out = np.empty((lf.size, s2.size))
+    out[0] = 0.0
     with np.errstate(divide="ignore"):
-        np.multiply.outer(np.log(s2), np.arange(1, dim), out=out[:, 1:])
-    out -= s2[:, None]
-    out -= log_factorial(np.arange(dim))
+        np.multiply.outer(np.arange(1.0, lf.size), np.log(s2), out=out[1:])
+    out -= s2
+    out -= lf[:, None]
     return np.exp(out, out=out)
 
 
 def radial_density(state: TruncatedState, s):
     """Density of |z| under Q_rho / Tr rho: 2 s sum_k rho_kk |<k|z>|^2 / Tr rho.
 
-    The phase average of Q keeps only the diagonal of rho, which makes
-    |z|^2 the Gamma mixture that ``sample_q`` draws from.  A scalar s
-    gives a float, an array s an array of its shape.
+    The phase average of Q keeps only the diagonal of rho, which makes |z|^2
+    the Gamma mixture of ``sample_q``; a scalar s gives a float.  The weights
+    are copied row-major, which fixes how BLAS rounds the sum over levels.
     """
     s = np.asarray(s, dtype=float)
-    pops = (_poisson_weights(s * s, state.dim) @ state.populations()).reshape(s.shape)
+    lf = log_factorial(np.arange(state.dim))
+    pops = (np.ascontiguousarray(_poisson_weights(s * s, lf).T) @ state.populations()).reshape(s.shape)
     vals = 2.0 * s * pops / max(state.trace, 1e-300)
     return vals if s.ndim else float(vals)
 
@@ -160,50 +164,64 @@ def _check_workers(n_workers) -> None:
         raise DomainError(f"n_workers must be a positive integer, got {n_workers!r}")
 
 
-def _sample_block(cdf, table, step, block_index, seed, out, work, spare):
-    """Fill ``out`` with the samples of one counter-isolated block.
+def _rows(buf: np.ndarray, n: int, cols: int) -> np.ndarray:  # n complex rows at the head of a float buffer
+    return buf[: 2 * cols * n].view(complex).reshape(n, cols)
+
+
+def _reject(gens, ends, pending, step, samples, bufs, stop):
+    """Phase rejection rounds until at most ``stop`` rows are pending.
+
+    ``pending`` holds the out index, x, bound and coefficients of each row;
+    block b's rows end at ``ends[b]`` and draw random((2, their number)) from
+    ``gens[b]`` each round.  An accepted row's sample, its radius s so far,
+    becomes s e^{2 pi i u0}; rejected coefficient rows go to bufs[0], and the
+    two swap.  Returns the proposals made and the rows still pending.
+    """
+    idx, x, bound, coeffs = pending
+    proposed = 0
+    while idx.size > stop:
+        draws = [g.random((2, hi - lo)) for g, lo, hi in zip(gens, [0] + ends, ends) if hi > lo]
+        u = draws[0] if len(draws) == 1 else np.concatenate(draws, axis=1)
+        density = coeffs[:, 0].real + 2.0 * _horner(coeffs, x * np.exp(2j * np.pi * step * u[0])).real
+        acc = u[1] * bound < density
+        samples[idx[acc]] *= np.exp(2j * np.pi * u[0, acc])
+        proposed += idx.size
+        rej = np.flatnonzero(~acc)
+        ends = np.searchsorted(rej, ends).tolist()
+        idx, x, bound = idx[rej], x[rej], bound[rej]
+        coeffs = np.take(coeffs, rej, axis=0, out=_rows(bufs[0], rej.size, coeffs.shape[1]), mode="clip")
+        bufs.reverse()
+    return proposed, (idx, x, bound, coeffs)
+
+
+def _sample_block(cdf, table, step, lf, j, seed, samples, work, spare):
+    """Draw block j of ``samples`` from its own counter region, up to its tail.
 
     ``work`` and ``spare`` are flat float buffers of BLOCK * max(dim, 2 cols)
     and BLOCK * 2 cols entries for a (dim, cols) phase table.  ``work``
-    holds the Poisson weights and then the coefficient magnitudes;
-    ``spare`` the phase coefficients.  Each rejection round gathers the
-    rejected rows into whichever of the two the coefficients are not in.
-    Returns the number of phase proposals made.
+    holds the Poisson weights, one row per level, and then the coefficient
+    magnitudes; ``spare`` the phase coefficients.  Returns the proposals,
+    the at most ``_TAIL`` rows left pending (None if diagonal) and the generator.
     """
+    out = samples[j * BLOCK : (j + 1) * BLOCK]
     count = out.size
-    gen = Generator(Philox(key=seed, counter=block_index << 64))
+    gen = Generator(Philox(key=seed, counter=j << 64))
     level = np.minimum(np.searchsorted(cdf, gen.random(count) * cdf[-1], side="right"), cdf.size - 1)
     s2 = gen.standard_gamma(level + 1.0)
     s = np.sqrt(s2)
     if table.shape[1] == 1:
         np.multiply(s, np.exp(2j * np.pi * gen.random(count)), out=out)
-        return count
+        return count, None, gen
     dim, cols = table.shape
-
-    def rows(buf, n):  # n complex rows of the table's width, at the head of buf
-        return buf[: 2 * cols * n].view(complex).reshape(n, cols)
-
-    weights = _poisson_weights(s2, dim, out=work[: count * dim].reshape(count, dim))
-    coeffs = rows(spare, count)
-    np.matmul(weights, table.view(float), out=coeffs.view(float))
+    weights = _poisson_weights(s2, lf, out=work[: dim * count].reshape(dim, count))
+    coeffs = _rows(spare, count, cols)
+    np.matmul(weights.T, table.view(float), out=coeffs.view(float))
     x = (s / _PHASE_SCALE) ** step
     # exact bound of the phase density: c_0 + 2 sum_m |c_m(s)|
     bound = coeffs[:, 0].real + 2.0 * _horner(np.abs(coeffs, out=work[: count * cols].reshape(count, cols)), x)
-    phase = np.empty(count)
-    pending = np.arange(count)
-    proposed = 0
-    while pending.size:
-        u = gen.random((2, pending.size))
-        density = coeffs[:, 0].real + 2.0 * _horner(coeffs, x * np.exp(2j * np.pi * step * u[0])).real
-        acc = u[1] * bound < density
-        phase[pending[acc]] = u[0, acc]
-        proposed += pending.size
-        rej = np.flatnonzero(~acc)
-        pending, x, bound = pending[rej], x[rej], bound[rej]
-        work, spare = spare, work
-        coeffs = np.take(coeffs, rej, axis=0, out=rows(spare, rej.size), mode="clip")
-    np.multiply(s, np.exp(2j * np.pi * phase), out=out)
-    return proposed
+    out[:] = s
+    pending = (np.arange(j * BLOCK, j * BLOCK + count), x, bound, coeffs)
+    return *_reject([gen], [count], pending, step, samples, [work, spare], _TAIL), gen
 
 
 def sample_q(
@@ -213,10 +231,11 @@ def sample_q(
 
     Output is byte-identical for fixed (state, seed, n_samples) no matter
     how many workers share the block list: each 4096-sample block owns a
-    disjoint Philox counter region keyed only by (seed, block index).
-    Each worker takes a contiguous run of blocks, writes them straight
-    into its slices of the one output array and works in two buffers
-    allocated once per call.
+    disjoint Philox counter region keyed only by (seed, block index), and
+    its draws never leave its own generator.  Each worker takes a
+    contiguous run of blocks, writes them straight into its slices of the
+    one output array and works in two buffers allocated once per call.
+    The rejection tails of up to ``_PARK`` blocks of a run finish together.
     """
     if n_samples < 0:
         raise DomainError("n_samples must be nonnegative")
@@ -231,6 +250,7 @@ def sample_q(
     cdf = np.cumsum(np.maximum(state.populations(), 0.0))
     table, step = _phase_table(state)
     dim, cols = table.shape
+    lf = log_factorial(np.arange(dim))
     n_blocks = (n_samples + BLOCK - 1) // BLOCK
     n_workers = min(n_workers, n_blocks)
 
@@ -238,10 +258,20 @@ def sample_q(
         work = spare = None
         if cols > 1:
             work, spare = np.empty(BLOCK * max(dim, 2 * cols)), np.empty(BLOCK * 2 * cols)
-        proposed = 0
-        for j in range(w * n_blocks // n_workers, (w + 1) * n_blocks // n_workers):
-            out = samples[j * BLOCK : (j + 1) * BLOCK]
-            proposed += _sample_block(cdf, table, step, j, int(seed), out, work, spare)
+        proposed, tails = 0, []
+        blocks = range(w * n_blocks // n_workers, (w + 1) * n_blocks // n_workers)
+        for j in blocks:
+            n, tail, gen = _sample_block(cdf, table, step, lf, j, int(seed), samples, work, spare)
+            proposed += n
+            if tail is not None:  # parked with its generator, its coefficients copied out of the buffers
+                tails.append((gen, *tail[:3], tail[3].copy()))
+            if tails and (len(tails) == _PARK or j == blocks[-1]):
+                gens, idx, x, bound, coeffs = zip(*tails)
+                ends = np.cumsum([i.size for i in idx]).tolist()
+                coeffs = np.concatenate(coeffs, out=_rows(spare, ends[-1], cols))
+                rows = (*map(np.concatenate, (idx, x, bound)), coeffs)
+                proposed += _reject(gens, ends, rows, step, samples, [work, spare], 0)[0]
+                tails = []
         return proposed
 
     if n_workers > 1:

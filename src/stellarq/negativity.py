@@ -25,6 +25,7 @@ from .estimator import (
     CLT,
     ConfidenceEstimate,
     EstimatorConfig,
+    _past_float_range,
     estimate,
     estimate_from_moments,
     kernel_values,
@@ -154,8 +155,8 @@ def _hankel(weights: np.ndarray) -> np.ndarray:
     return np.concatenate((weights, np.zeros(d)))[idx]
 
 
-def _grid_kernel_sums(samples, re_axis, im_axis, weights, eta, moments):
-    """Sums over samples of f(z - alpha)^k, k = 1..moments, at every grid alpha.
+def _grid_kernel_sums(samples, re_axis, im_axis, series, eta):
+    """Sums over samples of f(z - alpha)^k at every grid alpha, one k per Laguerre series.
 
     f(z) = e^{-c x} sum_m w_m L_m(x), x = |z|^2 / eta, c = 1 - eta, is the
     radial witness kernel without its offset; f^2 is the same form with
@@ -171,7 +172,6 @@ def _grid_kernel_sums(samples, re_axis, im_axis, weights, eta, moments):
     Returns one R x I array per moment.
     """
     c = 1.0 - eta
-    series = [weights, lag.lagmul(weights, weights)][:moments]
     hankels = [_hankel(w) for w in series]
     orders = series[-1].size
     n_re, n_im = re_axis.size, im_axis.size
@@ -229,7 +229,13 @@ def estimate_omega_grid(
     if n_samples == 0:
         raise DomainError("cannot estimate from an empty batch")
     clt = cfg.bound_method == CLT
-    sums = _grid_kernel_sums(samples, re_axis, im_axis, weights, cfg.eta, 2 if clt else 1)
+    series = [weights]
+    if clt:
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, whatever the warnings filter
+            series.append(lag.lagmul(weights, weights))
+    if not np.isfinite(series[-1]).all():
+        raise _past_float_range(cfg.p, cfg.eta)
+    sums = _grid_kernel_sums(samples, re_axis, im_axis, series, cfg.eta)
     mean_f = sums[0] / n_samples
     var = np.maximum(sums[1] / n_samples - mean_f**2, 0.0) if clt else None
     results = []

@@ -476,6 +476,20 @@ def test_kernel_past_the_float_range_exits_2(target, eta, extra, cli_inputs, tmp
     assert not report.exists()
 
 
+def test_witness_scan_past_the_float_range_exits_2(tmp_path, capsys):
+    # the CLT scan's second-moment series of the n = 30 witness at p = 8, eta = 0.01
+    # overflows; it is refused before any kernel sum, whatever the warnings filter
+    state, out = tmp_path / "fig5.json", tmp_path / "scan.csv"
+    spec = '{"pipeline":[{"squeezed_thermal":{"db":3,"purity":0.95,"dim":32}},{"photon_subtract":{}}]}'
+    assert run(tmp_path, "state", "--spec", spec, "--out", state) == 0
+    capsys.readouterr()
+    argv = ["witness-scan", "--state", state, "--n", 30, "--p", 8, "--eta", 0.01, "--epsilon", 0.2,
+            "--n-samples", 2000, "--out", out]
+    assert run(tmp_path, *argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "infeasible-precision"
+    assert not out.exists()
+
+
 def test_help_and_version_exit_0(capsys):
     assert main(["--help"]) == 0
     assert "witness-scan" in capsys.readouterr().out

@@ -108,6 +108,18 @@ def test_sample_q_matches_the_per_block_sampler(kind, step, fig5_state):
         assert b.acceptance_rate == n / proposed
 
 
+def test_sample_q_matches_the_per_block_sampler_across_park_groups(fig5_state):
+    # the balanced fig-5 state has the longest rejection tails; over two full park
+    # groups, three more blocks and a partial one, the tails finished together give
+    # the bytes and proposals of each block alone, however the worker runs cut the groups
+    n = (2 * dhd._PARK + 3) * dhd.BLOCK + 777
+    want, proposed = sample_q_per_block(fig5_state, n, 23)
+    for workers in (1, 2, 3, 7):
+        b = dhd.sample_q(fig5_state, n, seed=23, n_workers=workers)
+        np.testing.assert_array_equal(b.samples, want)
+        assert b.acceptance_rate == n / proposed
+
+
 @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "2"])
 def test_sample_q_refuses_a_bad_worker_count(bad, fig5_state):
     with pytest.raises(DomainError, match="n_workers"):

@@ -88,18 +88,25 @@ def _past_float_range(p: int, eta: float) -> InfeasiblePrecisionError:
 def pn_threshold(n: int, p: int, eta: float) -> int:
     """Smallest q >= p with eta <= (1 - (p-1)/q)(1 - n/(n+q+1)).
 
-    Exists for every eta < 1 because the right-hand side increases to 1.
+    Exists for every eta < 1 because the right-hand side increases to 1.  Each operation of
+    its float value, the int/int divisions included, is correctly rounded and monotone in q,
+    so the value never falls as q grows and the inequality, once it holds, holds for every
+    larger q: a galloping search and bisection return the first q of a count up from p.
     """
     _check_eta(eta)
     if p < 1 or n < 0:
         raise DomainError("need p >= 1 and n >= 0")
-    q = p
-    while True:
-        if eta <= (1.0 - (p - 1) / q) * (1.0 - n / (n + q + 1)):
-            return q
-        q += 1
-        if q > 10_000_000:  # unreachable for eta < 1; guards float misuse
-            raise DomainError("pn_threshold failed to terminate")
+
+    def holds(q: int) -> bool:
+        return eta <= (1.0 - (p - 1) / q) * (1.0 - n / (n + q + 1))
+
+    lo, hi, step = p - 1, p, 1  # the answer lies in (lo, hi] once holds(hi)
+    while not holds(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 def _bias_full(n: int, p: int, eta: float) -> float:
@@ -225,52 +232,58 @@ def _kernel_at(weights: dict, eta: float, z):
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(f, a: float, b: float):
-    """Golden-section search for the maximum of f on [a, b].
+def _golden_max(f, a, b):
+    """Golden-section searches for the maxima of f on the intervals [a_i, b_i], in lockstep.
 
-    Stops after 80 shrinks or once b - a < 1e-10, and returns (x, f(x))
-    for the better of the two final probes, the left one on a tie.
+    f maps (search indices, points) to values; each call probes every running search once.
+    A search stops after 80 shrinks or once b - a < 1e-10, and gives (x, f(x)) for the better
+    of its two final probes, the left one on a tie.  Returns the arrays of x and f(x).
     """
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
+    a, b, run = np.array(a, dtype=float), np.array(b, dtype=float), np.arange(len(a))
+    x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    f1, f2 = f(run, x1), f(run, x2)
     for _ in range(80):
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-        if b - a < 1e-10:
+        left = f1[run] >= f2[run]
+        lt, rt = run[left], run[~left]
+        b[lt], x2[lt], f2[lt] = x2[lt], x1[lt], f1[lt]
+        a[rt], x1[rt], f1[rt] = x1[rt], x2[rt], f2[rt]
+        x1[lt], x2[rt] = b[lt] - _INVPHI * (b[lt] - a[lt]), a[rt] + _INVPHI * (b[rt] - a[rt])
+        probed = f(run, np.where(left, x1[run], x2[run]))
+        f1[lt], f2[rt] = probed[left], probed[~left]
+        run = run[b[run] - a[run] >= 1e-10]
+        if not run.size:
             break
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+    return np.where(f1 >= f2, x1, x2), np.where(f1 >= f2, f1, f2)
 
 
-def _radial_range(weights: np.ndarray, eta: np.ndarray) -> np.ndarray:
+def _radial_range(weights: np.ndarray, eta: np.ndarray, degs=None) -> np.ndarray:
     """Range of f(x) = e^{-c x} sum_m w_m L_m(x), c = 1 - eta, over x >= 0, per row (w, eta).
 
     The closure includes the x -> inf limit 0.  Since
     f'(x) = e^{-c x} (P'(x) - c P(x)) with P = sum_m w_m L_m, every
     interior extremum is a real root of the same-degree Laguerre series
     lagder(w) - c w: an eigenvalue of the rotated companion matrix of
-    numpy's lagroots, all rows in one stacked eigvals call.  f is evaluated
+    numpy's lagroots, one stacked eigvals call per degree.  f is evaluated
     at x = 0 and at max(Re r, 0) for every root r: no real critical point
     is missed, and every node lies in the domain, so none can widen the
     range.  The result is exact up to the rounding of the computed roots.
+    Row i may end in zeros past its degree degs[i]; they move no bit of it.
     """
     c = (1.0 - eta)[:, None]
     dw = -c * weights
     dw[:, :-1] -= np.cumsum(weights[:, :0:-1], axis=1)[:, ::-1]  # lagder's running sums
-    deg = dw.shape[1] - 1
-    roots = 1 + dw[:, :1] / dw[:, 1:] if deg == 1 else np.empty((len(dw), 0))
-    if deg > 1:
-        off = np.diag(np.arange(1.0, deg), 1)
-        comp = np.tile(np.diag(2.0 * np.arange(deg) + 1.0) - off - off.T, (len(dw), 1, 1))
-        comp[:, :, -1] += dw[:, :-1] / dw[:, -1:] * deg
-        roots = np.sort(np.linalg.eigvals(comp[:, ::-1, ::-1]), axis=1)
-    xs = np.concatenate((np.zeros((len(dw), 1)), np.maximum(roots.real, 0.0)), axis=1)
+    degs = np.full(len(dw), dw.shape[1] - 1) if degs is None else degs
+    roots = np.zeros((len(dw), dw.shape[1] - 1))  # a row of lower degree repeats the node x = 0
+    for deg in set(degs.tolist()):
+        at = np.flatnonzero(degs == deg)
+        if deg == 1:
+            roots[at, :1] = 1 + dw[at, :1] / dw[at, 1:2]
+        elif deg > 1:
+            off = np.diag(np.arange(1.0, deg), 1)
+            comp = np.array([np.diag(2.0 * np.arange(deg) + 1.0) - off - off.T] * at.size)
+            comp[:, :, -1] += dw[at, :deg] / dw[at, deg:deg + 1] * deg
+            roots[at, :deg] = np.linalg.eigvals(comp[:, ::-1, ::-1]).real
+    xs = np.concatenate((np.zeros((len(dw), 1)), np.maximum(roots, 0.0)), axis=1)
     vals = _series_eval({0: weights}, eta[:, None], xs)
     return np.maximum(vals.max(axis=1), 0.0) - np.minimum(vals.min(axis=1), 0.0)
 
@@ -623,21 +636,29 @@ class OptimizeResult:
         }
 
 
-def _objective(n: int, p: int, etas, epsilon: float) -> np.ndarray:
-    """J = lambda * eta^{n+1} / R_n^{(p)} at each eta, 0 where lambda <= 0;
-    required N is proportional to J^-2.  One stacked range solve serves all etas."""
-    etas = np.atleast_1d(etas)
-    lam = np.array([epsilon - bias_bound(n, p, e) for e in etas])
-    scale = np.array([e ** (n + 1) for e in etas])
-    js, ok, w = np.zeros(etas.size), lam > 0, []
-    for i in np.flatnonzero(ok):
-        try:
-            w.append(_diag_series([(n, 1.0)], p, etas[i]) * scale[i])
-        except InfeasiblePrecisionError:  # weights past the floats: no kernel to run at this eta, J = 0
-            ok[i] = False
-    if ok.any():
-        js[ok] = lam[ok] * scale[ok] / _radial_range(np.array(w), etas[ok])
-    return js
+def _objective(n: int, epsilon: float):
+    """The map (ps, etas) -> J = lambda * eta^{n+1} / R_n^{(p)} at each pair (p, eta), 0 where
+    lambda <= 0; required N is proportional to J^-2.  The weights' eta-free exponents are
+    computed once, and one range solve serves all pairs of a call."""
+    lf = specfun.log_factorial(np.arange(n + OPTIMIZE_P_MAX)).tolist()
+    log_c = [lf[n + j] - lf[n] - lf[j] for j in range(OPTIMIZE_P_MAX)]  # _series_weights' at k = l = n, bit for bit
+    sign = float((-1) ** n)
+
+    def objective(ps: np.ndarray, etas: np.ndarray) -> np.ndarray:
+        js, w, ok, nums = np.zeros(etas.size), np.zeros((etas.size, n + OPTIMIZE_P_MAX)), [], []
+        for i, (p, eta) in enumerate(zip(ps.tolist(), etas.tolist())):
+            lam, scale, power = epsilon - bias_bound(n, p, eta), eta ** (n + 1), (n + 1.0) * math.log(eta)
+            try:  # the weights of _diag_series([(n, 1.0)], p, eta) * scale, zeros past q = n + p - 1
+                w[i, n:n + p] = [sign * math.exp(k - power) * scale for k in log_c[:p]]
+            except OverflowError:  # weights past the floats: no kernel to run at this eta, J = 0
+                continue
+            if lam > 0:
+                ok.append(i), nums.append(lam * scale)
+        if ok:
+            js[ok] = np.array(nums) / _radial_range(w[ok], etas[ok], ps[ok] + (n - 1))
+        return js
+
+    return objective
 
 
 def optimize_params(n: int, epsilon: float, delta: float) -> OptimizeResult:
@@ -652,21 +673,20 @@ def optimize_params(n: int, epsilon: float, delta: float) -> OptimizeResult:
     if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
         raise DomainError("epsilon and delta must lie in (0, 1)")
     specfun.log_factorial(n + OPTIMIZE_P_MAX - 1)  # the kernels up to OPTIMIZE_P_MAX read it: DomainError past it
-    etas = OPTIMIZE_ETA_GRID
-    per_p = []
-    for p in range(1, OPTIMIZE_P_MAX + 1):
-        js = _objective(n, p, etas, epsilon)
-        i = int(np.argmax(js))
-        if js[i] <= 0:
-            per_p.append((p, None, 0.0))
-            continue
-        eta_p, j_p = _golden_max(
-            lambda e: float(_objective(n, p, e, epsilon)[0]),
-            etas[max(i - 1, 0)], etas[min(i + 1, etas.size - 1)],
-        )
-        if j_p < js[i]:
-            eta_p, j_p = float(etas[i]), float(js[i])
-        per_p.append((p, float(eta_p), float(j_p)))
+    etas, ps = OPTIMIZE_ETA_GRID, np.arange(1, OPTIMIZE_P_MAX + 1)
+    objective = _objective(n, epsilon)
+    js = np.array([objective(np.full(etas.size, p), etas) for p in ps])
+    best = js.argmax(axis=1)  # the first of tied maxima
+    live = np.flatnonzero(js.max(axis=1) > 0)
+    found = _golden_max(  # every p with a positive J on the grid, refined around its best eta
+        lambda at, x: objective(ps[live[at]], x),
+        etas[np.maximum(best[live] - 1, 0)], etas[np.minimum(best[live] + 1, etas.size - 1)],
+    )
+    per_p = [(int(p), None, 0.0) for p in ps]
+    for r, eta_p, j_p in zip(live, *found):
+        if j_p < js[r, best[r]]:
+            eta_p, j_p = etas[best[r]], js[r, best[r]]
+        per_p[r] = (int(ps[r]), float(eta_p), float(j_p))
     # J = lambda / R_raw, so N(J) is the Hoeffding count at unit range; an N past the floats is no option
     ns = [(p, e, j, _hoeffding_n(delta, 1.0, j)) for p, e, j in per_p if e is not None and j * j > 0]
     ns = [v for v in ns if v[3] < math.inf]

@@ -5,7 +5,8 @@ matrix exponentials, not from the recurrences under test, so the two
 code paths share nothing but the definitions.  The exceptions are the
 one-at-a-time references of restructured code (``sample_q_per_block``,
 ``ladder_block_scalar``, ``rank_bounded_objective_scalar``,
-``ascend_scalar``), which keep its earlier form to compare against.
+``ascend_scalar``, ``pn_threshold_loop``), which keep its earlier form to
+compare against.
 """
 
 import cmath
@@ -15,6 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
+from stellarq.errors import DomainError
 from stellarq.fockspace import GaussianUnitaryParams, TruncatedState, coherent_row
 
 
@@ -418,3 +420,14 @@ def ascend_scalar(objective, x0, lo, hi) -> dict:
             converged = True
             break
     return {"objective": float(f), "params": _unsigned(x), "converged": converged, "nfev": nfev}
+
+
+def pn_threshold_loop(n: int, p: int, eta: float) -> int:
+    """``estimator.pn_threshold`` as a count up from q = p (the reference for its search)."""
+    q = p
+    while True:
+        if eta <= (1.0 - (p - 1) / q) * (1.0 - n / (n + q + 1)):
+            return q
+        q += 1
+        if q > 10_000_000:  # reached near eta = 1 - 1e-7, where p_n exists but the count gives up
+            raise DomainError("pn_threshold failed to terminate")

@@ -129,6 +129,21 @@ def test_estimate_insufficient_samples_exit(tmp_path, capsys):
     assert err["required_n"] > 500_000
 
 
+def test_estimate_near_eta_one_is_infeasible(tmp_path, capsys):
+    # p_n of Fock 2 at p = 2 is about 3e6 at eta = 1 - 1e-6 and 3e7 at 1 - 1e-7: both
+    # exit on the bias bound, not on the p_n search
+    state = tmp_path / "two.json"
+    run(tmp_path, "state", "--spec", '{"fock":{"n":2,"dim":8}}', "--out", state)
+    samples = tmp_path / "s.csv"
+    run(tmp_path, "sample", "--state", state, "--n", 1000, "--seed", 3, "--out", samples)
+    capsys.readouterr()
+    for eta in ("0.999999", "0.9999999"):
+        rc = run(tmp_path, "estimate", "--samples", samples, "--target", "fock:2", "--p", 2,
+                 "--eta", eta, "--epsilon", 0.3, "--out", tmp_path / "rep.json")
+        err = json.loads(capsys.readouterr().err)
+        assert (rc, err["error"]) == (2, "infeasible-precision") and err["min_epsilon"] > 1e17, eta
+
+
 def test_estimate_witness_wrapper(tmp_path):
     state = tmp_path / "one.json"
     run(tmp_path, "state", "--spec", '{"fock":{"n":1,"dim":8}}', "--out", state)

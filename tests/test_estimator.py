@@ -20,6 +20,7 @@ from _oracles import (
     laguerre2d_direct,
     laguerre_direct,
     operator_g_scipy,
+    pn_threshold_loop,
     quadrature_q_expectation,
 )
 
@@ -208,6 +209,34 @@ def test_pn_threshold_values():
     assert est.pn_threshold(1, 3, 0.26) == 3
     for eta in (0.1, 0.3, 0.6, 0.9):
         assert est.pn_threshold(0, 1, eta) == 1
+
+
+def _pn_rhs(n: int, p: int, q: int) -> float:
+    return (1.0 - (p - 1) / q) * (1.0 - n / (n + q + 1))
+
+
+def test_pn_threshold_matches_the_loop():
+    # the search returns the q a count up from p returns: on random cases, on the
+    # optimize_params grid, and at (and one ulp past) the float right-hand side of some q
+    rng = np.random.default_rng(24)
+    cases = [(int(rng.integers(0, 201)), int(rng.integers(1, 9)), float(rng.uniform(1e-3, 1 - 1e-5)))
+             for _ in range(20_000)]
+    cases += [(n, p, float(eta)) for n in range(11) for p in range(1, 9) for eta in est.OPTIMIZE_ETA_GRID]
+    for _ in range(2_000):
+        n, p = int(rng.integers(0, 201)), int(rng.integers(1, 9))
+        eta = _pn_rhs(n, p, p + int(rng.integers(0, 1_000)))
+        if 0.0 < eta < 1.0:
+            cases += [(n, p, eta), (n, p, math.nextafter(eta, 1.0))]
+    for n, p, eta in cases:
+        assert est.pn_threshold(n, p, eta) == pn_threshold_loop(n, p, eta), (n, p, eta)
+
+
+def test_pn_threshold_near_eta_one():
+    # p_n exists for every eta < 1; a count up from p gave up past 10M steps, at about 1 - 1e-7
+    n, p = 2, 2
+    for eta in (0.9999999, 1.0 - 1e-12, math.nextafter(1.0, 0.0)):
+        q = est.pn_threshold(n, p, eta)
+        assert q > p and eta <= _pn_rhs(n, p, q) and not eta <= _pn_rhs(n, p, q - 1)
 
 
 def test_bias_bound_values():
@@ -506,6 +535,21 @@ def test_radial_range_stack_matches_lagroots():
             assert [est.kernel_range(n, p, e) for e in etas[::20]] == want[::20].tolist()
 
 
+def test_objective_matches_the_kernel_weights():
+    # the per-rank exponents, the zero-padded rows and the per-degree range solves give,
+    # bit for bit, J from _diag_series' weights and one single-row range solve per eta
+    etas = est.OPTIMIZE_ETA_GRID[::4]
+    for n in range(11):
+        objective = est._objective(n, 0.2)
+        for p in range(1, est.OPTIMIZE_P_MAX + 1):
+            want = []
+            for e in etas:
+                lam, scale = 0.2 - est.bias_bound(n, p, e), e ** (n + 1)
+                w = est._diag_series([(n, 1.0)], p, e) * scale
+                want.append(lam * scale / est._radial_range(w[None], np.array([e]))[0] if lam > 0 else 0.0)
+            assert objective(np.full(etas.size, p), etas).tolist() == want, (n, p)
+
+
 @pytest.mark.parametrize(
     "args, report",
     [
@@ -518,6 +562,14 @@ def test_radial_range_stack_matches_lagroots():
         # near eta = 1, p_n of Fock 4 passes the log-factorial table
         ((4, 0.2, 0.05), {"N": 4997669590981, "p": 3, "eta": 0.18025833084077197, "p_n": 4,
                           "kernel_range": 27.9258311876235}),
+        ((0, 0.1, 0.05), {"N": 26767, "p": 3, "eta": 0.33546278135637037, "p_n": 4,
+                          "kernel_range": 3.2735152135636594}),
+        ((5, 0.05, 0.05), {"N": 441779267466724096, "p": 6, "eta": 0.18833695071423567, "p_n": 8,
+                           "kernel_range": 624.8425385878013}),
+        ((6, 0.3, 0.01), {"N": 95219077959452176, "p": 3, "eta": 0.15686697543997496, "p_n": 4,
+                          "kernel_range": 48.417104804681315}),
+        ((10, 0.2, 0.05), {"N": 12587204620621095968658423808, "p": 7, "eta": 0.16382906722966512,
+                           "p_n": 9, "kernel_range": 16974.315552721047}),
     ],
 )
 def test_optimize_params_reports_pinned(args, report):
@@ -547,7 +599,7 @@ def test_optimize_params_past_the_float_range_is_infeasible():
     # there the bias is inf and J is 0, not an OverflowError (whole runs: test_cli's
     # test_optimize_params_large_fock_exits_cleanly)
     assert est.bias_bound(500, 1, 0.999) == math.inf
-    assert est._objective(500, 8, [1e-3, 0.5], 0.2).tolist() == [0.0, 0.0]
+    assert est._objective(500, 0.2)(np.array([8, 8]), np.array([1e-3, 0.5])).tolist() == [0.0, 0.0]
 
 
 def test_bias_bound_matches_the_log_factorial_table():

@@ -344,6 +344,7 @@ def save_csv(batch: SampleBatch, path) -> None:
 
 
 _NONSPACE = re.compile(rb"\S")
+_READ = 1 << 20  # bytes per read of the header scan
 
 
 def _scan_header(path) -> tuple:
@@ -351,28 +352,34 @@ def _scan_header(path) -> tuple:
 
     A `#` with only whitespace before it on its line opens a header line,
     wherever that line sits; a `#` after a value opens a trailing comment.
-    Only the `#` bytes are visited, never the data lines one by one.
+    Only the `#` bytes are visited, never the data lines one by one.  The
+    file is read ``_READ`` bytes at a time, and each read's partial last
+    line is carried into the next, so every line is scanned whole.
     """
+    tokens, has_rows, data = [], False, b""
     with open(path, "rb") as fh:
-        data = fh.read()
-    tokens = []
-    has_rows = False
-    pos = 0  # the search for row text resumes here
-    i = data.find(b"#")
-    while i >= 0:
-        start = data.rfind(b"\n", 0, i) + 1
-        start = max(start, data.rfind(b"\r", start, i) + 1)
-        end = data.find(b"\n", i)
-        end = len(data) if end < 0 else end
-        cr = data.find(b"\r", i, end)
-        end = end if cr < 0 else cr
-        if not data[start:i].strip():
-            has_rows = has_rows or _NONSPACE.search(data, pos, start) is not None
-            tokens.extend(data[i + 1 : end].decode("utf-8").split())
-            pos = end
-        i = data.find(b"#", end)
-    has_rows = has_rows or _NONSPACE.search(data, pos) is not None
-    return tokens, has_rows
+        while True:
+            chunk = fh.read(_READ)
+            data += chunk
+            cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1 if chunk else len(data)
+            pos = 0  # the search for row text resumes here
+            i = data.find(b"#", 0, cut)
+            while i >= 0:
+                start = data.rfind(b"\n", 0, i) + 1
+                start = max(start, data.rfind(b"\r", start, i) + 1)
+                end = data.find(b"\n", i, cut)
+                end = cut if end < 0 else end
+                cr = data.find(b"\r", i, end)
+                end = end if cr < 0 else cr
+                if not data[start:i].strip():
+                    has_rows = has_rows or _NONSPACE.search(data, pos, start) is not None
+                    tokens.extend(data[i + 1 : end].decode("utf-8").split())
+                    pos = end
+                i = data.find(b"#", end, cut)
+            has_rows = has_rows or _NONSPACE.search(data, pos, cut) is not None
+            if not chunk:
+                return tokens, has_rows
+            data = data[cut:]
 
 
 def load_csv(path) -> SampleBatch:
@@ -385,7 +392,9 @@ def load_csv(path) -> SampleBatch:
     must add up to the number of rows, so a truncated file is refused.
     The rows are parsed by numpy's C reader, which rounds correctly:
     empty lines and `#` comments are skipped, and every other line, one
-    of only spaces included, must hold exactly two numbers.
+    of only spaces included, must hold exactly two numbers.  Neither the header
+    scan nor numpy's reader holds the whole file, so a load holds the
+    parsed rows and a few reads of the file.
     """
     tokens, has_rows = _scan_header(path)
     seed = 0

@@ -72,6 +72,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20  # fixed summation chunk: partition-independent totals
+_BLOCK = 1 << 14  # samples per kernel evaluation block
 
 
 def _check_eta(eta: float, p: int = 1) -> None:
@@ -219,14 +220,15 @@ def _series_eval(weights: dict, eta: float, x, w=None):
         total, gauss = np.asarray(total), np.exp(-(1.0 - eta) * x)
         total *= gauss  # in place: a pass over N samples holds no extra N-array
     np.copyto(total, 0, where=gauss == 0)
-    if not np.isfinite(total.sum()):  # a reduction, not an N-sized mask
+    if not np.isfinite(total).all():  # a mask, not a sum: finite values can sum past the float range
         warnings.warn("kernel series overflowed where its Gaussian factor is nonzero", RuntimeWarning)
     return total
 
 
 def _kernel_at(weights: dict, eta: float, z):
     z = np.asarray(z, dtype=complex)
-    return _series_eval(weights, eta, np.abs(z) ** 2 / eta, z / math.sqrt(eta))
+    w = None if set(weights) == {0} else z / math.sqrt(eta)  # phi_d(w) is read for d != 0 only
+    return _series_eval(weights, eta, np.abs(z) ** 2 / eta, w)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -433,13 +435,21 @@ def kernel_values(batch_samples: np.ndarray, config: EstimatorConfig) -> np.ndar
     """Per-sample kernel values; real for diagonal targets.
 
     Diagonal targets include the half-bias recentering constant, i.e.
-    the values are those of the recentered kernel h.
+    the values are those of the recentered kernel h.  The series runs over
+    ``_BLOCK`` samples at a time, each block written into the one output,
+    so a pass holds its output and one block of scratch.
     """
     z = np.asarray(batch_samples, dtype=complex)
-    if config.is_diagonal:
-        w, offset = radial_kernel(config)
-        return _series_eval({0: w}, config.eta, np.abs(z) ** 2 / config.eta) + offset
-    return _kernel_at(_operator_weights(config.target, config.p, config.eta), config.eta, z)
+    flat, eta, diagonal = z.reshape(-1), config.eta, config.is_diagonal
+    w, offset = radial_kernel(config) if diagonal else (None, None)
+    weights = {0: w} if diagonal else _operator_weights(config.target, config.p, eta)
+    out = np.empty(flat.size, float if diagonal else complex)
+    for i in range(0, flat.size, _BLOCK):
+        block = out[i : i + _BLOCK]
+        block[:] = _kernel_at(weights, eta, flat[i : i + _BLOCK])
+        if diagonal:
+            block += offset
+    return out.reshape(z.shape)
 
 
 def radial_kernel(config: EstimatorConfig):
@@ -526,7 +536,9 @@ def estimate(batch, config: EstimatorConfig) -> ConfidenceEstimate:
     estimate), and the only method available for non-diagonal targets.
     For those, config.bias() covers the diagonal part only: the bias of
     the off-diagonal kernels is not budgeted, so the interval can miss
-    Tr(A rho) even at a reported confidence of 1.0000.
+    Tr(A rho) even at a reported confidence of 1.0000.  Besides the effective
+    samples the pass holds the kernel values, one block of scratch and, for a
+    non-diagonal CLT variance, one real array as long as the batch.
     """
     if hasattr(batch, "effective_samples"):
         samples = batch.effective_samples()
@@ -545,10 +557,11 @@ def estimate(batch, config: EstimatorConfig) -> ConfidenceEstimate:
             raise _past_float_range(config.p, config.eta)
         mean = _chunked_mean(values)
         variance = None  # only the CLT interval reads it
-        if config.bound_method == CLT and config.is_diagonal:
-            variance = float(np.var(values))
-        elif config.bound_method == CLT:
-            variance = float(np.mean(np.abs(values - mean) ** 2))
+        if config.bound_method == CLT:  # in place: np.var's operations in its order, or np.mean(|values - mean|^2)
+            values -= values.sum() / n if config.is_diagonal else mean
+            values = values if config.is_diagonal else np.abs(values)  # one real N-array
+            values *= values
+            variance = float(values.sum() / n)
     return estimate_from_moments(config, n, mean, variance)
 
 

@@ -5,8 +5,8 @@ matrix exponentials, not from the recurrences under test, so the two
 code paths share nothing but the definitions.  The exceptions are the
 one-at-a-time references of restructured code (``sample_q_per_block``,
 ``ladder_block_scalar``, ``rank_bounded_objective_scalar``,
-``ascend_scalar``, ``pn_threshold_loop``), which keep its earlier form to
-compare against.
+``ascend_scalar``, ``pn_threshold_loop``, ``kernel_values_one_shot``,
+``estimate_one_shot``), which keep its earlier form to compare against.
 """
 
 import cmath
@@ -16,6 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
+from stellarq import estimator as est
 from stellarq.errors import DomainError
 from stellarq.fockspace import GaussianUnitaryParams, TruncatedState, coherent_row
 
@@ -431,3 +432,26 @@ def pn_threshold_loop(n: int, p: int, eta: float) -> int:
         q += 1
         if q > 10_000_000:  # reached near eta = 1 - 1e-7, where p_n exists but the count gives up
             raise DomainError("pn_threshold failed to terminate")
+
+
+def kernel_values_one_shot(batch_samples, config) -> np.ndarray:
+    """``estimator.kernel_values`` as one series pass over the whole batch (the reference for its blocks)."""
+    z = np.asarray(batch_samples, dtype=complex)
+    if config.is_diagonal:
+        w, offset = est.radial_kernel(config)
+        return est._series_eval({0: w}, config.eta, np.abs(z) ** 2 / config.eta) + offset
+    return est._kernel_at(est._operator_weights(config.target, config.p, config.eta), config.eta, z)
+
+
+def estimate_one_shot(samples, config):
+    """``estimator.estimate`` of a plain sample array on ``kernel_values_one_shot``, its CLT
+    variance by ``np.var`` (diagonal) or ``np.mean`` (non-diagonal): the reference for the
+    variance formed in place."""
+    values = kernel_values_one_shot(samples, config)
+    mean = est._chunked_mean(values)
+    variance = None
+    if config.bound_method == est.CLT and config.is_diagonal:
+        variance = float(np.var(values))
+    elif config.bound_method == est.CLT:
+        variance = float(np.mean(np.abs(values - mean) ** 2))
+    return est.estimate_from_moments(config, values.size, mean, variance)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -351,14 +352,14 @@ _LOAD_TABLE = [
     # an indented `#` line leaves spaces behind once its comment is stripped
     pytest.param(b"1,2\n  \n3,4\n", ValueError, 0, id="spaces-line-between-rows"),
     pytest.param(b"  # seed=7\n1,2\n", ValueError, 0, id="indented-header-before-rows"),
+    # reads of 1, 3 and 7 bytes end between a \r and its \n
+    pytest.param(b"# seed=9\r\n1,2\r\n3.5,4\r\n", [1 + 2j, 3.5 + 4j], 9, id="crlf-split-by-a-read"),
+    pytest.param(b"1,2\n# seed=6 n=2\n3,4\n", [1 + 2j, 3 + 4j], 6, id="header-across-reads"),
+    pytest.param(b"1,2\n3,4\n# seed=8 n=2", [1 + 2j, 3 + 4j], 8, id="header-last-without-newline"),
 ]
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("text, want, seed", _LOAD_TABLE)
-def test_load_csv_table(text, want, seed, tmp_path):
-    path = tmp_path / "s.csv"
-    path.write_bytes(text)
+def _assert_loads(path, want, seed):
     if want is ValueError:
         with pytest.raises(ValueError):
             dhd.load_csv(path)
@@ -367,3 +368,48 @@ def test_load_csv_table(text, want, seed, tmp_path):
     np.testing.assert_array_equal(b.samples, np.array(want, dtype=complex))
     assert b.samples.dtype == complex and b.samples.shape == (len(want),)
     assert b.seed == seed
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, want, seed", _LOAD_TABLE)
+def test_load_csv_table(text, want, seed, tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes(text)
+    _assert_loads(path, want, seed)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("read", [1, 2, 3, 7])
+@pytest.mark.parametrize("text, want, seed", _LOAD_TABLE)
+def test_load_csv_table_at_small_reads(text, want, seed, read, tmp_path, monkeypatch):
+    # the header scan carries each read's partial last line into the next
+    monkeypatch.setattr(dhd, "_READ", read)
+    path = tmp_path / "s.csv"
+    path.write_bytes(text)
+    _assert_loads(path, want, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.sampled_from([b"#", b"\n", b"\r", b" ", b"1", b",", b"n=2", b"\t"]), max_size=40),
+       read=st.integers(1, 9))
+def test_scan_header_does_not_depend_on_the_read_size(parts, read, tmp_path_factory):
+    path = tmp_path_factory.mktemp("scan") / "s.csv"
+    path.write_bytes(b"".join(parts))
+    whole = dhd._scan_header(path)
+    with mock.patch.object(dhd, "_READ", read):
+        assert dhd._scan_header(path) == whole
+
+
+def test_load_csv_holds_its_rows_and_a_few_reads(tmp_path):
+    # the 14.7 MB file is read 1 MiB at a time: the peak is the parsed rows and a
+    # few reads (1.09 rows arrays; 2.5 when the header scan read the file whole)
+    n = 368_000
+    path = tmp_path / "s.csv"
+    dhd.save_csv(dhd.sample_q(fs.make_lossy_fock(2, 0.8, 8), n, seed=11), path)
+    tracemalloc.start()
+    try:
+        dhd.load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * 16 + 4 * dhd._READ, peak / (n * 16)

@@ -1,5 +1,8 @@
 import dataclasses
+import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre
 
 from stellarq import dhd, estimator as est, fockspace as fs, specfun
-from stellarq.negativity import witness_operator
+from stellarq.negativity import choose_witness_params, witness_operator
 from stellarq.errors import (
     DomainError,
     InfeasiblePrecisionError,
@@ -16,7 +19,9 @@ from stellarq.errors import (
 )
 
 from _oracles import (
+    estimate_one_shot,
     kernel_g_scipy,
+    kernel_values_one_shot,
     laguerre2d_direct,
     laguerre_direct,
     operator_g_scipy,
@@ -196,7 +201,7 @@ def test_kernel_g_operator_linearity():
     assert est.kernel_g_operator(ident2, 2, z, eta) == pytest.approx(
         est.kernel_g(0, 0, 2, z, eta) + est.kernel_g(1, 1, 2, z, eta)
     )
-    from stellarq.negativity import witness_operator
+    from stellarq.negativity import choose_witness_params, witness_operator
 
     wit = witness_operator(2)
     assert est.kernel_g_operator(wit, 3, z, eta) == pytest.approx(
@@ -629,3 +634,66 @@ def test_series_overflow_where_gaussian_is_nonzero_stays_visible():
     with pytest.warns(RuntimeWarning, match="overflowed"):
         vals = est._series_eval({0: np.array([1e308])}, 0.5, np.array([0.0, -10.0]))
     assert vals[0] == 1e308 and vals[1] == np.inf
+
+
+def test_series_sum_past_the_float_range_does_not_warn():
+    # two finite values of 1e308 sum past the float range; no value overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = est._series_eval({0: np.array([1e308])}, 0.5, np.array([0.0, 0.0]))
+    assert vals.tolist() == [1e308, 1e308]
+
+
+def test_kernel_values_warn_of_an_overflow_in_a_later_block():
+    # the Fock-100 kernel at p = 1, eta = 0.003 overflows at |z| = 1.1 (x ~ 400),
+    # where its Gaussian factor is about 1e-173: one such sample past the first block
+    cfg = est.EstimatorConfig(fs.TargetOperator.fock_projector(100), 1, 0.003, 0.2)
+    z = np.zeros(est._BLOCK + 1, dtype=complex)
+    z[-1] = 1.1
+    with pytest.warns(RuntimeWarning, match="overflowed"):
+        vals = est.kernel_values(z, cfg)
+    assert np.isfinite(vals[:-1]).all() and not np.isfinite(vals[-1])
+
+
+_B = est._BLOCK
+_BLOCK_TARGETS = {
+    "fock1": (fs.TargetOperator.fock_projector(1), 2, 0.3, 0.3),
+    "witness3": (witness_operator(3), 3, 0.15, 0.3),
+    "complex-core": (fs.TargetOperator.core_projector(fs.CoreState.from_unnormalized([1.0, 0.5j, -0.3])), 3, 0.3, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(_BLOCK_TARGETS))
+def test_blocked_pass_matches_the_one_shot_pass(name):
+    # kernel values and every estimate report, bit for bit, on both sides of each block edge
+    target, p, eta, eps = _BLOCK_TARGETS[name]
+    rng = np.random.default_rng(11)
+    methods = ("hoeffding", "clt") if target.is_diagonal else ("clt",)
+    for n in (0, 1, _B - 1, _B, _B + 1, 3 * _B + 5):
+        z = 1.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        cfg = est.EstimatorConfig(target, p, eta, eps, None, methods[-1])
+        got, want = est.kernel_values(z, cfg), kernel_values_one_shot(z, cfg)
+        assert got.dtype == want.dtype == (float if target.is_diagonal else complex)
+        assert got.tobytes() == want.tobytes(), n
+        for method in methods if n else ():
+            cfg = dataclasses.replace(cfg, bound_method=method)
+            got, want = est.estimate(z, cfg).to_report_dict(), estimate_one_shot(z, cfg).to_report_dict()
+            assert json.dumps(got) == json.dumps(want), (n, method)
+
+
+def test_clt_estimate_holds_one_values_array(fig5_state):
+    # the kernel runs a block at a time into its output and the variance is formed
+    # in place on it: one values array plus a constant (1.12 arrays; 4.0 with a
+    # one-shot kernel pass and np.var)
+    n = 550_000
+    batch = dhd.sample_q(fig5_state, n, seed=5)
+    cfg = choose_witness_params(fig5_state, 1, 0.1, n)
+    assert cfg.bound_method == "clt" and cfg.is_diagonal
+    est.estimate(batch, cfg)
+    tracemalloc.start()
+    try:
+        est.estimate(batch, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * 8 + (1 << 20), peak / (n * 8)

@@ -30,7 +30,6 @@ from .fockspace import (
     db_to_r,
     fidelity,
     gaussian_matrix,
-    gaussian_matrix_element,
     husimi_q,
     make_fock,
     make_lossy_fock,
@@ -56,10 +55,6 @@ from .estimator import (
     bias_bound,
     clt_required_samples,
     estimate,
-    kernel_f,
-    kernel_g,
-    kernel_g_operator,
-    kernel_h,
     kernel_range,
     kernel_values,
     optimize_params,
@@ -70,7 +65,6 @@ from .stellar import (
     ProfilePoint,
     StellarPoly,
     fidelity_profile,
-    k_robustness,
     max_fidelity_rank_bounded,
     rank1_core_profile,
     rank_witness_verdict,

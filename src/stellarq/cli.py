@@ -328,6 +328,7 @@ def cmd_estimate(args):
                 "negativity_certified": wit.negativity_certified,
                 "wigner_upper_bound": wit.wigner_upper_bound,
                 "one_sided_confidence": wit.confidence,
+                "delta_cert": wit.estimate.delta_cert,
                 "alpha": [wit.alpha.real, wit.alpha.imag],
             }
         )

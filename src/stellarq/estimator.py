@@ -53,12 +53,8 @@ from .fockspace import TargetOperator
 __all__ = [
     "EstimatorConfig",
     "ConfidenceEstimate",
-    "kernel_f",
-    "kernel_g",
-    "kernel_g_operator",
     "pn_threshold",
     "bias_bound",
-    "kernel_h",
     "kernel_range",
     "kernel_values",
     "radial_kernel",
@@ -125,31 +121,6 @@ def _bias_full(n: int, p: int, eta: float) -> float:
 def bias_bound(n: int, p: int, eta: float) -> float:
     """Half-width bias bound of the recentered estimator h_n^{(p)}."""
     return 0.5 * _bias_full(n, p, eta)
-
-
-def kernel_f(k: int, l: int, z: complex, eta: float) -> complex:
-    """f_{k,l}(z, eta), the p = 1 case of g_{k,l}^{(p)}."""
-    return kernel_g(k, l, 1, z, eta)
-
-
-def kernel_g(k: int, l: int, p: int, z: complex, eta: float) -> complex:
-    """Alternating sum g_{k,l}^{(p)}(z, eta) of shifted f kernels."""
-    _check_eta(eta, p)
-    if k < 0 or l < 0:
-        raise DomainError(f"Fock indices must be nonnegative, got ({k}, {l})")
-    return complex(_kernel_at(_series_weights([(k, l, 1.0)], p, eta), eta, z))
-
-
-def kernel_g_operator(a: TargetOperator, p: int, z: complex, eta: float) -> complex:
-    """g_A^{(p)}(z, eta) = sum_kl A_kl g_{k,l}^{(p)}(z, eta)."""
-    _check_eta(eta, p)
-    return complex(_kernel_at(_operator_weights(a, p, eta), eta, z))
-
-
-def kernel_h(n: int, p: int, z: complex, eta: float) -> float:
-    """Recentered diagonal kernel h_n^{(p)}; real by radial symmetry."""
-    g = kernel_g(n, n, p, z, eta)
-    return float(g.real + 0.5 * (-1) ** p * _bias_full(n, p, eta))
 
 
 def _series_weights(entries, p: int, eta: float) -> dict:
@@ -335,6 +306,7 @@ def kernel_range(n_or_operator, p: int, eta: float) -> float:
 
 HOEFFDING = "hoeffding"
 CLT = "clt"
+DELTA_CERT = 0.05  # the failure probability a certificate is held to when its config sets no delta
 
 
 @dataclass(frozen=True)
@@ -409,6 +381,7 @@ class ConfidenceEstimate:
     p: int = 1
     eta: float = 0.0
     p_n: dict = field(default_factory=dict)
+    delta_cert: float = DELTA_CERT  # a certificate holds only at confidence >= 1 - delta_cert
 
     @property
     def lower_bound(self) -> float:
@@ -431,13 +404,14 @@ class ConfidenceEstimate:
         } | ({"sigma_hat": self.sigma_hat} if self.method == CLT else {})  # what a CLT interval rests on
 
 
-def kernel_values(batch_samples: np.ndarray, config: EstimatorConfig) -> np.ndarray:
+def kernel_values(batch_samples: np.ndarray, config: EstimatorConfig, _shift: complex = 0j) -> np.ndarray:
     """Per-sample kernel values; real for diagonal targets.
 
     Diagonal targets include the half-bias recentering constant, i.e.
     the values are those of the recentered kernel h.  The series runs over
     ``_BLOCK`` samples at a time, each block written into the one output,
-    so a pass holds its output and one block of scratch.
+    so a pass holds its output and one block of scratch; ``_shift``, a
+    batch's pending translation, is subtracted from each block in turn.
     """
     z = np.asarray(batch_samples, dtype=complex)
     flat, eta, diagonal = z.reshape(-1), config.eta, config.is_diagonal
@@ -446,7 +420,8 @@ def kernel_values(batch_samples: np.ndarray, config: EstimatorConfig) -> np.ndar
     out = np.empty(flat.size, float if diagonal else complex)
     for i in range(0, flat.size, _BLOCK):
         block = out[i : i + _BLOCK]
-        block[:] = _kernel_at(weights, eta, flat[i : i + _BLOCK])
+        z_block = flat[i : i + _BLOCK]
+        block[:] = _kernel_at(weights, eta, z_block - _shift if _shift else z_block)
         if diagonal:
             block += offset
     return out.reshape(z.shape)
@@ -536,14 +511,14 @@ def estimate(batch, config: EstimatorConfig) -> ConfidenceEstimate:
     estimate), and the only method available for non-diagonal targets.
     For those, config.bias() covers the diagonal part only: the bias of
     the off-diagonal kernels is not budgeted, so the interval can miss
-    Tr(A rho) even at a reported confidence of 1.0000.  Besides the effective
+    Tr(A rho) even at a reported confidence of 1.0000.  Besides the raw
     samples the pass holds the kernel values, one block of scratch and, for a
     non-diagonal CLT variance, one real array as long as the batch.
     """
-    if hasattr(batch, "effective_samples"):
-        samples = batch.effective_samples()
+    if hasattr(batch, "effective_samples"):  # translated block by block in the kernel pass
+        samples, shift = batch.samples, batch.translation
     else:
-        samples = np.asarray(batch)
+        samples, shift = np.asarray(batch), 0j
     n = samples.size
     if n == 0:
         raise DomainError("cannot estimate from an empty batch")
@@ -552,7 +527,7 @@ def estimate(batch, config: EstimatorConfig) -> ConfidenceEstimate:
         config.hoeffding_range  # so does a range past the float range
     with warnings.catch_warnings():  # a value past the float range is refused, not warned of
         warnings.simplefilter("ignore", RuntimeWarning)
-        values = kernel_values(samples, config)
+        values = kernel_values(samples, config, shift)
         if not np.isfinite(values.sum()):  # before _chunked_mean, whose fsum raises on inf - inf
             raise _past_float_range(config.p, config.eta)
         mean = _chunked_mean(values)
@@ -583,6 +558,7 @@ def estimate_from_moments(
         p=config.p,
         eta=config.eta,
         p_n=config.pn_by_index(),
+        delta_cert=DELTA_CERT if config.delta is None else config.delta,
     )
     if config.bound_method == HOEFFDING:
         if not config.is_diagonal:

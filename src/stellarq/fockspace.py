@@ -37,7 +37,6 @@ __all__ = [
     "photon_subtract",
     "photon_add",
     "gaussian_matrix",
-    "gaussian_matrix_element",
     "apply_gaussian",
     "husimi_q",
     "coherent_row",
@@ -577,13 +576,6 @@ def gaussian_matrix(n_rows: int, m_cols: int, g: GaussianUnitaryParams) -> np.nd
                         lambda k: _squeeze_block(k, m_cols, r, th), start)
     return _compose(lambda k: _squeeze_block(n_rows, k, r, th),
                     lambda k: _displacement_matrix(k, m_cols, b), start)
-
-
-def gaussian_matrix_element(n: int, m: int, g: GaussianUnitaryParams) -> complex:
-    """<n| S(xi) D(beta) |m>."""
-    if n < 0 or m < 0:
-        raise DomainError("Fock indices must be nonnegative")
-    return complex(gaussian_matrix(n + 1, m + 1, g)[n, m])
 
 
 def _affine(r, th, beta):

@@ -6,9 +6,9 @@ levels of the state displaced by -alpha.  It bounds the Wigner function,
     W(alpha) <= (2/pi) (1 - 2 omega(alpha, n)),
 
 with equality in the limit of large n, so an estimate whose lower bound
-exceeds 1/2 certifies W(alpha) < 0.  Since a displacement in front of
-the detector is reverted by translating the samples, one balanced batch
-serves every alpha on a scan grid.
+exceeds 1/2 at a one-sided confidence of at least 1 - delta_cert certifies
+W(alpha) < 0.  A displacement in front of the detector is reverted by
+translating the samples, so one balanced batch serves a whole scan grid.
 """
 
 from __future__ import annotations
@@ -92,15 +92,14 @@ def omega_true(state: TruncatedState, alpha: complex, n: int) -> float:
 
 def _witness_result(alpha: complex, n: int, res: ConfidenceEstimate) -> WitnessResult:
     """One-sided reading of a two-sided estimate of omega(alpha, n)."""
-    delta = 1.0 - res.confidence
-    lower = res.lower_bound
+    lower, confidence = res.lower_bound, 1.0 - (1.0 - res.confidence) / 2.0
     return WitnessResult(
         alpha=complex(alpha),
         n=n,
         omega_estimate=float(np.real(res.value)),
         half_width=res.half_width,
-        confidence=1.0 - delta / 2.0,
-        negativity_certified=lower > 0.5,
+        confidence=confidence,
+        negativity_certified=lower > 0.5 and confidence >= 1.0 - res.delta_cert,
         wigner_upper_bound=(2.0 / math.pi) * (1.0 - 2.0 * lower),
         estimate=res,
     )

@@ -1,4 +1,4 @@
-"""Log-factorials and log-binomials from one module-level table.
+"""Log-factorials from one module-level table.
 
 Large combinatorial factors are combined with tiny exponentials in log
 space, so that neither overflows.  The table covers 0 <= n <= 10,000;
@@ -13,10 +13,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "log_binomial",
-    "log_factorial",
-]
+__all__ = ["log_factorial"]
 
 # ln(n!) for n <= 10_000: well past the Fock cutoffs, because bias-bound
 # arithmetic needs binomials such as C(n + p_n, n)
@@ -34,12 +31,3 @@ def log_factorial(n):
         )
     return _LOG_FACTORIAL[n]
 
-
-def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k) from the log-factorial table."""
-    if k < 0 or n < 0 or k > n:
-        raise DomainError(f"log_binomial requires 0 <= k <= n, got n={n}, k={k}")
-    if n > _MAX_N:
-        raise DomainError(f"log-factorial table covers n <= {_MAX_N}, got n={n}", limit=_MAX_N)
-    t = _LOG_FACTORIAL
-    return float(t[n] - t[k] - t[n - k])

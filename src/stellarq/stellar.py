@@ -75,7 +75,6 @@ __all__ = [
     "ProfilePoint",
     "StellarPoly",
     "max_fidelity_rank_bounded",
-    "k_robustness",
     "fidelity_profile",
     "rank1_core_profile",
     "rank_witness_verdict",
@@ -398,12 +397,6 @@ def max_fidelity_rank_bounded(
     )
 
 
-def k_robustness(target: CoreState, k: int, restarts: int = 32, seed: int = 0) -> float:
-    """Trace distance from the target to the states of rank < k."""
-    point = max_fidelity_rank_bounded(target, k, restarts=restarts, seed=seed)
-    return math.sqrt(max(0.0, 1.0 - point.max_fidelity))
-
-
 def fidelity_profile(
     target: CoreState, k_max: int, restarts: int = 32, seed: int = 0
 ) -> list:
@@ -450,11 +443,13 @@ def rank_witness_verdict(
     """Largest k whose rank-(k-1) fidelity ceiling the estimate exceeds.
 
     A fidelity lower bound above sup_{rank<k} F certifies stellar rank
-    >= k at the estimate's confidence; verdict k = 0 means nothing was
-    certified.
+    >= k at the estimate's confidence, if that is at least 1 - delta_cert;
+    verdict k = 0 means nothing was certified.
     """
     lower = estimate.lower_bound
-    if profile is None:
+    if estimate.confidence < 1.0 - estimate.delta_cert:
+        profile = ()  # a certificate holds only at confidence >= 1 - delta_cert, so no ceiling is needed
+    elif profile is None:
         profile = fidelity_profile(target, target.stellar_rank, restarts=restarts, seed=seed)
     certified = 0
     threshold = None
@@ -466,6 +461,7 @@ def rank_witness_verdict(
         "certified_rank": certified,
         "confidence": float(estimate.confidence),
         "threshold_used": threshold,
+        "delta_cert": estimate.delta_cert,
     }
 
 

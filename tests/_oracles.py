@@ -6,7 +6,8 @@ code paths share nothing but the definitions.  The exceptions are the
 one-at-a-time references of restructured code (``sample_q_per_block``,
 ``ladder_block_scalar``, ``rank_bounded_objective_scalar``,
 ``ascend_scalar``, ``pn_threshold_loop``, ``kernel_values_one_shot``,
-``estimate_one_shot``), which keep its earlier form to compare against.
+``estimate_one_shot``), which keep its earlier form to compare against, and
+``kernel_g``, which runs the estimator's own series for the algebra tests.
 """
 
 import cmath
@@ -441,6 +442,14 @@ def kernel_values_one_shot(batch_samples, config) -> np.ndarray:
         w, offset = est.radial_kernel(config)
         return est._series_eval({0: w}, config.eta, np.abs(z) ** 2 / config.eta) + offset
     return est._kernel_at(est._operator_weights(config.target, config.p, config.eta), config.eta, z)
+
+
+def kernel_g(k, l, p: int, z: complex, eta: float) -> complex:
+    """g_{k,l}^{(p)}(z, eta) at one z by ``estimator._series_weights`` and ``_kernel_at``;
+    g_A^{(p)} by ``_operator_weights`` when k is a TargetOperator A and l is None."""
+    est._check_eta(eta, p)
+    weights = est._operator_weights(k, p, eta) if l is None else est._series_weights([(k, l, 1.0)], p, eta)
+    return complex(est._kernel_at(weights, eta, z))
 
 
 def estimate_one_shot(samples, config):

@@ -160,6 +160,20 @@ def test_estimate_witness_wrapper(tmp_path):
     assert rep["alpha"] == [0.0, 0.0]
 
 
+def test_estimate_witness_below_its_confidence_is_not_certified(tmp_path):
+    # on 2,000 fig-5 samples this CLT witness reads omega = 5.8e10 at confidence 8.4e-13:
+    # a lower bound above 1/2, but far below the confidence 1 - delta_cert it must hold at
+    spec = '{"pipeline":[{"squeezed_thermal":{"db":3,"purity":0.95,"dim":32}},{"photon_subtract":{}}]}'
+    state, samples, report = tmp_path / "fig5.json", tmp_path / "s.csv", tmp_path / "wit.json"
+    run(tmp_path, "state", "--spec", spec, "--out", state)
+    run(tmp_path, "sample", "--state", state, "--n", 2000, "--seed", 1, "--out", samples)
+    assert run(tmp_path, "estimate", "--samples", samples, "--target", "witness:5", "--method", "clt",
+               "--p", 8, "--eta", 0.1, "--epsilon", 0.2, "--translate=-1,-1", "--out", report) == 0
+    rep = json.loads(report.read_text())
+    assert rep["omega_lower_bound"] > 0.5 and rep["confidence"] < 1e-12
+    assert rep["negativity_certified"] is False and rep["delta_cert"] == est.DELTA_CERT == 0.05
+
+
 def test_estimate_core_target_clt(tmp_path):
     # a non-diagonal JSON core target: the projector on (|0> + |1>) / sqrt(2)
     state = tmp_path / "core.json"

@@ -20,6 +20,7 @@ from stellarq.errors import (
 
 from _oracles import (
     estimate_one_shot,
+    kernel_g,
     kernel_g_scipy,
     kernel_values_one_shot,
     laguerre2d_direct,
@@ -33,21 +34,21 @@ from _oracles import (
 def test_kernel_f_closed_cases():
     eta = 0.3
     z = 0.8 - 0.5j
-    assert est.kernel_f(0, 0, z, eta) == pytest.approx(
+    assert kernel_g(0, 0, 1, z, eta) == pytest.approx(
         (1 / eta) * math.exp((1 - 1 / eta) * abs(z) ** 2)
     )
     # at z = 0 only k = l survives, with value (-1)^k / eta^{1+k}
     for k in range(4):
-        assert est.kernel_f(k, k, 0j, eta) == pytest.approx((-1) ** k / eta ** (1 + k))
-        assert est.kernel_f(k, k + 1, 0j, eta) == 0
+        assert kernel_g(k, k, 1, 0j, eta) == pytest.approx((-1) ** k / eta ** (1 + k))
+        assert kernel_g(k, k + 1, 1, 0j, eta) == 0
     with pytest.raises(DomainError):
-        est.kernel_f(0, 0, z, 1.2)
+        kernel_g(0, 0, 1, z, 1.2)
 
 
 def _l2d_from_kernel_f(k, l, w, eta):
     """L2D_{k,l}(w) read back off f_{k,l}(w sqrt(eta), eta)."""
     pref = eta ** (1.0 + (k + l) / 2.0) * math.exp((1.0 - eta) * abs(w) ** 2)
-    return est.kernel_f(k, l, w * math.sqrt(eta), eta) * pref
+    return kernel_g(k, l, 1, w * math.sqrt(eta), eta) * pref
 
 
 def test_kernel_f_laguerre2d_base_cases():
@@ -74,7 +75,7 @@ def test_kernel_g_matches_direct_sum():
             * laguerre2d_direct(k + j, l + j, w) / eta ** (1.0 + (k + l + 2 * j) / 2.0)
             for j in range(p)
         )
-        got = est.kernel_g(k, l, p, w * math.sqrt(eta), eta) * math.exp((1.0 - eta) * abs(w) ** 2)
+        got = kernel_g(k, l, p, w * math.sqrt(eta), eta) * math.exp((1.0 - eta) * abs(w) ** 2)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
@@ -86,10 +87,10 @@ def test_kernel_g_conjugate_symmetry():
         k, l = (int(t) for t in rng.integers(0, 13, size=2))
         p, eta = int(rng.integers(1, 4)), float(rng.uniform(0.1, 0.9))
         z = complex(*rng.normal(size=2)) * 2
-        v = est.kernel_g(k, l, p, z, eta)
+        v = kernel_g(k, l, p, z, eta)
         tol = 1e-12 * max(abs(v), 1.0)
-        assert est.kernel_g(l, k, p, z, eta) == pytest.approx(np.conj(v), rel=1e-12, abs=tol)
-        assert est.kernel_g(l, k, p, np.conj(z), eta) == pytest.approx(v, rel=1e-12, abs=tol)
+        assert kernel_g(l, k, p, z, eta) == pytest.approx(np.conj(v), rel=1e-12, abs=tol)
+        assert kernel_g(l, k, p, np.conj(z), eta) == pytest.approx(v, rel=1e-12, abs=tol)
 
 
 def test_kernel_g_diagonal_is_radial():
@@ -104,8 +105,8 @@ def test_kernel_g_diagonal_is_radial():
                 (-1) ** n * laguerre_direct(n, abs(w) ** 2), rel=1e-9, abs=1e-9
             )
             z = w * math.sqrt(0.3)
-            assert est.kernel_g(n, n, 3, z * np.exp(0.71j), 0.3) == pytest.approx(
-                est.kernel_g(n, n, 3, z, 0.3), rel=1e-10, abs=1e-10
+            assert kernel_g(n, n, 3, z * np.exp(0.71j), 0.3) == pytest.approx(
+                kernel_g(n, n, 3, z, 0.3), rel=1e-10, abs=1e-10
             )
 
 
@@ -116,7 +117,7 @@ def test_kernel_g_no_overflow_at_large_argument():
     # value is 0 there
     for k, l in ((64, 64), (0, 64), (80, 3)):
         for z in (40.0 + 0j, 45.0 * np.exp(0.3j), 50j, 1e3 + 0j, 1e3 * np.exp(0.3j), 1e3j):
-            assert est.kernel_g(k, l, 2, z, 0.5) == 0
+            assert kernel_g(k, l, 2, z, 0.5) == 0
 
 
 def test_kernel_g_high_index_matches_scipy():
@@ -129,15 +130,8 @@ def test_kernel_g_high_index_matches_scipy():
         x = rng.uniform(0.0, 4.0 * (max(k, l) + p) / (1.0 - eta) + 20.0, size=60)
         z = np.sqrt(eta * x) * np.exp(2j * np.pi * rng.random(60))
         want = kernel_g_scipy(k, l, p, z, eta)
-        got = np.array([est.kernel_g(k, l, p, t, eta) for t in z])
+        got = np.array([kernel_g(k, l, p, t, eta) for t in z])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_kernel_g_negative_index_raises():
-    with pytest.raises(DomainError):
-        est.kernel_g(-1, 0, 1, 0.3j, 0.3)
-    with pytest.raises(DomainError):
-        est.kernel_g(0, -1, 2, 0.3j, 0.3)
 
 
 def test_laguerre_series():
@@ -163,7 +157,7 @@ def test_kernel_values_match_pointwise():
     cfg = est.EstimatorConfig(target, 3, 0.3, 0.5, None, "clt")
     got = est.kernel_values(z, cfg)
     assert got.shape == z.shape
-    want = [est.kernel_g_operator(target, 3, complex(t), 0.3) for t in z.ravel()]
+    want = [kernel_g(target, None, 3, complex(t), 0.3) for t in z.ravel()]
     np.testing.assert_allclose(got.ravel(), want, rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(got, operator_g_scipy(target, 3, z, 0.3), rtol=1e-12, atol=1e-12)
 
@@ -171,7 +165,7 @@ def test_kernel_values_match_pointwise():
 def test_kernel_f_bounded():
     # polynomial times a contracting Gaussian: bounded over the plane
     ss = np.linspace(0, 60, 30_001)
-    vals = np.array([abs(est.kernel_f(1, 1, s, 0.3)) for s in ss])
+    vals = np.array([abs(kernel_g(1, 1, 1, s, 0.3)) for s in ss])
     peak = float(vals.max())
     assert np.isfinite(peak)
     assert vals[-1] < 1e-12 * peak  # decays far out, sup attained in the scan
@@ -180,12 +174,11 @@ def test_kernel_f_bounded():
 def test_kernel_g_structure():
     z = 0.4 + 0.9j
     eta = 0.25
-    assert est.kernel_g(2, 1, 1, z, eta) == pytest.approx(est.kernel_f(2, 1, z, eta))
-    want = est.kernel_f(0, 0, z, eta) - eta * est.kernel_f(1, 1, z, eta)
-    assert est.kernel_g(0, 0, 2, z, eta) == pytest.approx(want)
+    want = kernel_g(0, 0, 1, z, eta) - eta * kernel_g(1, 1, 1, z, eta)
+    assert kernel_g(0, 0, 2, z, eta) == pytest.approx(want)
     # diagonal kernels are real and radial
-    v1 = est.kernel_g(2, 2, 3, z, eta)
-    v2 = est.kernel_g(2, 2, 3, abs(z) + 0j, eta)
+    v1 = kernel_g(2, 2, 3, z, eta)
+    v2 = kernel_g(2, 2, 3, abs(z) + 0j, eta)
     assert v1.imag == pytest.approx(0.0, abs=1e-12)
     assert v1 == pytest.approx(v2)
 
@@ -194,18 +187,18 @@ def test_kernel_g_operator_linearity():
     z = 1.1 - 0.3j
     eta = 0.3
     proj0 = fs.TargetOperator.fock_projector(0)
-    assert est.kernel_g_operator(proj0, 2, z, eta) == pytest.approx(
-        est.kernel_g(0, 0, 2, z, eta)
+    assert kernel_g(proj0, None, 2, z, eta) == pytest.approx(
+        kernel_g(0, 0, 2, z, eta)
     )
     ident2 = fs.TargetOperator(np.eye(2))
-    assert est.kernel_g_operator(ident2, 2, z, eta) == pytest.approx(
-        est.kernel_g(0, 0, 2, z, eta) + est.kernel_g(1, 1, 2, z, eta)
+    assert kernel_g(ident2, None, 2, z, eta) == pytest.approx(
+        kernel_g(0, 0, 2, z, eta) + kernel_g(1, 1, 2, z, eta)
     )
     from stellarq.negativity import choose_witness_params, witness_operator
 
     wit = witness_operator(2)
-    assert est.kernel_g_operator(wit, 3, z, eta) == pytest.approx(
-        est.kernel_g(1, 1, 3, z, eta) + est.kernel_g(3, 3, 3, z, eta)
+    assert kernel_g(wit, None, 3, z, eta) == pytest.approx(
+        kernel_g(1, 1, 3, z, eta) + kernel_g(3, 3, 3, z, eta)
     )
 
 
@@ -258,8 +251,9 @@ def test_kernel_h_recentering():
     z = 0.6 + 0.2j
     for p in (1, 2, 3):
         eta = 0.3
-        g = est.kernel_g(1, 1, p, z, eta).real
-        h = est.kernel_h(1, p, z, eta)
+        g = kernel_g(1, 1, p, z, eta).real
+        cfg = est.EstimatorConfig(fs.TargetOperator.fock_projector(1), p, eta, 0.5, None)
+        h = float(est.kernel_values(z, cfg))  # the recentered kernel h_1^{(p)}
         offset = h - g
         assert abs(offset) == pytest.approx(est.bias_bound(1, p, eta), rel=1e-12)
         # p odd: g overestimates, so the recentering is downward
@@ -369,6 +363,9 @@ def test_config_constants_follow_replace_and_feed_the_interval():
     res = est.estimate_from_moments(loose, 100_000, 0.4)
     assert res.confidence == 1.0 - est.achieved_delta(loose, 100_000)
     assert res.kernel_range == loose.hoeffding_range == est.kernel_range(cfg.target, 2, 0.26)
+    # a certificate is held to the config's delta, or to DELTA_CERT when it sets none
+    strict = est.estimate_from_moments(dataclasses.replace(cfg, delta=0.02), 10**9, 0.4)
+    assert (res.delta_cert, strict.delta_cert) == (est.DELTA_CERT, 0.02)
 
 
 def test_unbiased_on_truncated_support():
@@ -615,7 +612,8 @@ def test_bias_bound_matches_the_log_factorial_table():
         pn = est.pn_threshold(n, p, eta)
         if n + pn > 10_000:
             continue
-        log = pn * math.log(eta) + specfun.log_binomial(pn - 1, p - 1) + specfun.log_binomial(n + pn, n)
+        t = specfun._LOG_FACTORIAL  # math.lgamma(k + 1.0) at each k
+        log = pn * math.log(eta) + float(t[pn - 1] - t[p - 1] - t[pn - p]) + float(t[n + pn] - t[n] - t[pn])
         if log < 709:  # math.exp(log) is finite
             assert est._bias_full(n, p, eta) == math.exp(log)
 

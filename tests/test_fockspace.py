@@ -86,14 +86,14 @@ def test_subtracted_squeezed_vacuum_beats_gaussian_bound():
 
 def test_gaussian_matrix_element_examples():
     ident = fs.GaussianUnitaryParams()
-    assert fs.gaussian_matrix_element(0, 0, ident) == pytest.approx(1.0)
+    assert fs.gaussian_matrix(1, 1, ident)[0, 0] == pytest.approx(1.0)
     g = fs.GaussianUnitaryParams(0.8, 0.0, 0j)
-    assert fs.gaussian_matrix_element(0, 0, g) == pytest.approx(1 / math.sqrt(math.cosh(0.8)))
+    assert fs.gaussian_matrix(1, 1, g)[0, 0] == pytest.approx(1 / math.sqrt(math.cosh(0.8)))
     beta = 0.9 - 0.4j
     gd = fs.GaussianUnitaryParams(0.0, 0.0, beta)
     for n in range(6):
         want = math.exp(-abs(beta) ** 2 / 2) * beta**n / math.sqrt(math.factorial(n))
-        assert fs.gaussian_matrix_element(n, 0, gd) == pytest.approx(want, rel=1e-12)
+        assert fs.gaussian_matrix(n + 1, 1, gd)[n, 0] == pytest.approx(want, rel=1e-12)
 
 
 def test_gaussian_matrix_element_against_oracles():
@@ -104,7 +104,7 @@ def test_gaussian_matrix_element_against_oracles():
         )
         for n in range(0, 11, 3):
             for m in range(0, 11, 3):
-                got = fs.gaussian_matrix_element(n, m, g)
+                got = fs.gaussian_matrix(n + 1, m + 1, g)[n, m]
                 assert got == pytest.approx(gaussian_element_expm(n, m, g), abs=1e-9)
                 assert got == pytest.approx(gaussian_element_closed_form(n, m, g), abs=1e-9)
     # a tall pure-displacement block, K x 3 with K = 3 + 32 + ceil(8 |beta|^2 + 8 |beta|),

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +168,37 @@ def test_grid_scan_matches_per_point_estimates(grid_batch, method):
             else:
                 assert g.estimate.kernel_range == d.estimate.kernel_range
             assert g.confidence == pytest.approx(d.confidence, abs=1e-12)
+
+
+def test_thermal_witness_is_never_certified_below_its_confidence():
+    # a thermal state has W >= 0 and omega(0) = 2/9; at N = 2,000 a Hoeffding interval with
+    # delta=None has confidence 0 (one-sided 0.5), and 29 of these 200 batches read omega above 1/2
+    state = fs.make_thermal(0.5, 40)
+    cfg = est.EstimatorConfig(neg.witness_operator(1), 2, 0.22, 0.1, None)
+    results = [neg.estimate_omega(dhd.sample_q(state, 2000, seed), 0, 1, cfg) for seed in range(200)]
+    assert sum(r.lower_bound > 0.5 for r in results) == 29
+    assert {r.confidence for r in results} == {0.5}
+    assert not any(r.negativity_certified for r in results)
+
+
+def test_translated_estimate_holds_no_shifted_copy(fig5_state):
+    # the kernel pass subtracts the translation a block at a time, so an estimate at alpha != 0
+    # peaks where one at alpha = 0 does (3.1 against 1.1 values arrays with a shifted copy),
+    # bit for bit the estimate of the shifted samples
+    n = 550_000
+    batch = dhd.sample_q(fig5_state, n, seed=5)
+    cfg = neg.choose_witness_params(fig5_state, 1, 0.1, n)
+    peaks = []
+    for alpha in (0, 0, 0.5):  # the first pass warms up what the estimate caches
+        tracemalloc.start()
+        try:
+            res = neg.estimate_omega(batch, alpha, 1, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[2] - peaks[1]) <= 1 << 20, (peaks, n * 8)
+    shifted = dhd.translate_samples(batch, 0.5).effective_samples()
+    assert res.estimate == est.estimate(shifted, dataclasses.replace(cfg, target=neg.witness_operator(1)))
 
 
 def test_grid_scan_chunking_and_translation(fig5_state):

@@ -7,19 +7,6 @@ from stellarq import specfun
 from stellarq.errors import DomainError
 
 
-def test_log_binomial():
-    assert specfun.log_binomial(5, 0) == 0.0
-    assert specfun.log_binomial(4, 2) == pytest.approx(math.log(6.0), rel=1e-14)
-    assert specfun.log_binomial(100, 50) == pytest.approx(
-        math.log(math.comb(100, 50)), rel=1e-12
-    )
-    assert specfun.log_binomial(10_000, 137) == pytest.approx(
-        math.log(math.comb(10_000, 137)), rel=1e-12
-    )
-    with pytest.raises(DomainError):
-        specfun.log_binomial(3, 4)
-
-
 def test_log_factorial_table():
     table = specfun._LOG_FACTORIAL
     assert table[0] == 0.0
@@ -32,10 +19,7 @@ def test_log_factorial_table():
 def test_table_bound_raises_domain_error():
     top = specfun._MAX_N
     assert np.isfinite(specfun.log_factorial(top))
-    assert np.isfinite(specfun.log_binomial(top, top // 2))
     for bad in (top + 1, np.arange(top + 2), -1, np.array([3, -2])):
         with pytest.raises(DomainError, match=str(top)) as exc:
             specfun.log_factorial(bad)
         assert exc.value.details["limit"] == top
-    with pytest.raises(DomainError, match=str(top)):
-        specfun.log_binomial(top + 10, 3)

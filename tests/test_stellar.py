@@ -51,11 +51,11 @@ def test_profile_monotone_for_a_large_core():
 
 
 def test_k_robustness():
-    r = stellar.k_robustness(fs.CoreState.fock(1), 1, restarts=16)
+    # the trace distance sqrt(1 - F) from the target to the states of rank < k
+    r = math.sqrt(1 - stellar.max_fidelity_rank_bounded(fs.CoreState.fock(1), 1, restarts=16).max_fidelity)
     assert r == pytest.approx(math.sqrt(1 - GAUSS_BOUND_ONE), abs=1e-4)
-    assert stellar.k_robustness(fs.CoreState.fock(2), 3, restarts=4) == pytest.approx(
-        0.0, abs=1e-4
-    )
+    r = math.sqrt(1 - stellar.max_fidelity_rank_bounded(fs.CoreState.fock(2), 3, restarts=4).max_fidelity)
+    assert r == pytest.approx(0.0, abs=1e-4)
 
 
 def test_k_robustness_gaussian_invariance():
@@ -68,8 +68,8 @@ def test_k_robustness_gaussian_invariance():
     ):
         plain = fs.CoreState.fock(n)
         framed = fs.CoreState(plain.coeffs, frame)
-        r1 = stellar.k_robustness(plain, k, restarts=16)
-        r2 = stellar.k_robustness(framed, k, restarts=16)
+        r1 = math.sqrt(1 - stellar.max_fidelity_rank_bounded(plain, k, restarts=16).max_fidelity)
+        r2 = math.sqrt(1 - stellar.max_fidelity_rank_bounded(framed, k, restarts=16).max_fidelity)
         assert r1 == pytest.approx(r2, abs=1e-10)
 
 
@@ -334,7 +334,7 @@ def test_matrix_element_closed_form_consistency():
         )
         n, m = (int(t) for t in rng.integers(0, 5, size=2))
         diff = abs(
-            fs.gaussian_matrix_element(n, m, g) - gaussian_element_closed_form(n, m, g)
+            fs.gaussian_matrix(n + 1, m + 1, g)[n, m] - gaussian_element_closed_form(n, m, g)
         )
         worst = max(worst, diff)
     assert worst < 1e-9
@@ -376,6 +376,10 @@ def test_rank_witness_verdicts():
     assert v0["certified_rank"] == 0
     assert v0["threshold_used"] is None
     assert v0["confidence"] == pytest.approx(0.95)
+    # no certificate below its stated confidence: 1 - 0.05 = 0.95 holds exactly, 0.9 does not
+    assert v2["delta_cert"] == 0.05
+    low = stellar.rank_witness_verdict(_fake_estimate(0.70, delta=0.1), fs.CoreState.fock(2), restarts=4)
+    assert low["certified_rank"] == 0 and low["threshold_used"] is None
 
 
 def test_stellar_poly_basics():
